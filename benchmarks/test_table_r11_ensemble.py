@@ -2,9 +2,8 @@
 
 Reproduction claim (extension, no paper counterpart): Monte Carlo jobs
 that differ only in component values can share one transient solve — the
-vectorized ensemble engine batches K variants through one adaptive grid,
-one Newton history and one cached symbolic factorisation — and that
-sharing beats running the same campaign as independent process-pool jobs
+vectorized ensemble engine batches K variants through one adaptive grid
+and one Newton history — and that sharing beats running the same campaign as independent process-pool jobs
 in **both** virtual-clock work and wall time, while every variant stays
 within the ``loose`` (1e-3) rung of the verify tolerance ladder against
 its own standalone sequential run.

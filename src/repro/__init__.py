@@ -19,10 +19,6 @@ Quickstart::
     par = simulate(c, analysis="wavepipe", tstop=10e-6,
                    scheme="combined", threads=4)
     print(par.stats.self_speedup(), par.waveforms.voltage("out"))
-
-The historical per-analysis entry points (``run_transient``,
-``run_wavepipe``, ``dc_sweep``, ``ac_analysis``, ``sweep``) remain
-importable but are deprecated shims over the same engines.
 """
 
 from repro.analysis.ac import AcResult
@@ -34,14 +30,9 @@ from repro.api import (
     AnalysisResult,
     EnsembleRequest,
     EnsembleResult,
-    ac_analysis,
-    dc_sweep,
     run_ensemble_request,
     run_request,
-    run_transient,
-    run_wavepipe,
     simulate,
-    sweep,
 )
 from repro.engine.ensemble import EnsembleTransientResult, run_ensemble_transient
 from repro.partition import (
@@ -115,7 +106,6 @@ __all__ = [
     "AcResult",
     "AnalysisRequest",
     "AnalysisResult",
-    "ac_analysis",
     "Bjt",
     "BjtModel",
     "Capacitor",
@@ -129,7 +119,6 @@ __all__ = [
     "ConvergenceError",
     "CurrentSource",
     "Dc",
-    "dc_sweep",
     "DcSweepResult",
     "Deviation",
     "Diode",
@@ -166,9 +155,7 @@ __all__ = [
     "run_ensemble_request",
     "run_ensemble_transient",
     "run_request",
-    "run_transient",
     "run_verification",
-    "run_wavepipe",
     "run_wtm",
     "simulate",
     "SampledWaveform",
@@ -178,7 +165,6 @@ __all__ = [
     "SingularMatrixError",
     "SpeedupReport",
     "Subcircuit",
-    "sweep",
     "SweepResult",
     "TimestepError",
     "TransientResult",

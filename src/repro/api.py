@@ -10,10 +10,10 @@ wrapping the engine's native result in an :class:`AnalysisResult` that
 exposes the shared surface (``waveforms``/``stats``/``metrics``) while
 delegating everything analysis-specific to the raw result.
 
-The historical entry points (``run_transient``, ``run_wavepipe``,
-``dc_sweep``, ``ac_analysis``, ``sweep``) remain importable from
-:mod:`repro` as thin deprecated shims over the same engines; new code
-should call :func:`simulate`.
+The engine-level functions stay importable from their own modules
+(:mod:`repro.engine.transient`, :mod:`repro.core.wavepipe`,
+:mod:`repro.analysis`); :mod:`repro` itself exports only
+:func:`simulate`.
 
 The sixth analysis, ``ensemble``, solves K parameter variants of one
 topology in lockstep through the vectorized ensemble engine
@@ -45,8 +45,6 @@ Example::
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -637,38 +635,3 @@ def run_request(request: AnalysisRequest) -> "AnalysisResult | EnsembleResult":
             skip_failures=extras.get("skip_failures", False),
         )
     return AnalysisResult(analysis=request.analysis, request=request, raw=raw)
-
-
-def _deprecated_alias(name: str, func, hint: str):
-    """Wrap an engine entry point in a DeprecationWarning-emitting shim."""
-
-    @functools.wraps(func)
-    def shim(*args, **kwargs):
-        warnings.warn(
-            f"repro.{name}() is deprecated; use {hint}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return func(*args, **kwargs)
-
-    return shim
-
-
-# Deprecated aliases re-exported from repro/__init__.py. They call the
-# engines directly (not simulate()) so return types stay exactly what
-# existing callers expect.
-run_transient = _deprecated_alias(
-    "run_transient", _run_transient, 'repro.simulate(circuit, analysis="transient", ...)'
-)
-run_wavepipe = _deprecated_alias(
-    "run_wavepipe", _run_wavepipe, 'repro.simulate(circuit, analysis="wavepipe", ...)'
-)
-dc_sweep = _deprecated_alias(
-    "dc_sweep", _dc_sweep, 'repro.simulate(circuit, analysis="dc", ...)'
-)
-ac_analysis = _deprecated_alias(
-    "ac_analysis", _ac_analysis, 'repro.simulate(circuit, analysis="ac", ...)'
-)
-sweep = _deprecated_alias(
-    "sweep", _sweep, 'repro.simulate(analysis="sweep", ...)'
-)

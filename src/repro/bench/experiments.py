@@ -544,7 +544,6 @@ def table_r9(names=None, repeats=2, exp_id="table_r9") -> ExperimentResult:
             "reduction": reduction,
             "factors_off": off.stats.lu_factors,
             "factors_on": on.stats.lu_factors,
-            "refactors_on": on.stats.lu_refactors,
             "reuse_hits": on.stats.lu_reuse_hits,
             "reuse_hit_rate": hit_rate,
             "bypass_fallbacks": on.stats.bypass_fallbacks,
@@ -660,8 +659,8 @@ def table_r11(
 
     A Monte Carlo campaign's jobs differ only in component values, so K
     of them can share one transient solve: batched device evaluation and
-    assembly over ``(n, K)`` state, per-variant numeric factorisations
-    off one cached symbolic ordering, and a shared adaptive grid accepted
+    assembly over ``(n, K)`` state, per-variant factorisations, and a
+    shared adaptive grid accepted
     by max-reduction over per-variant LTE. The table runs the same
     *jobs*-variant campaign both ways — one :class:`EnsembleRequest`
     against a *workers*-process pool — and reports wall time and the

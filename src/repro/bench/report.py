@@ -32,7 +32,7 @@ CLAIMS = {
     "table_r9_smoke": "CI smoke subset of Table R9 (one linear, one stiff nonlinear circuit); same expectations at reduced coverage.",
     "table_r10": "Extension (no paper counterpart): job-level parallelism through the repro.jobs process pool scales Monte Carlo campaign throughput with worker count on multi-core hosts (processes sidestep the GIL — the axis orthogonal to WavePipe's intra-run pipelining), and the content-addressed result cache serves a campaign re-run without executing a single job.",
     "table_r10_smoke": "CI smoke subset of Table R10 (4-job campaign, 2-worker pool); same correctness/caching expectations without the scaling claim.",
-    "table_r11": "Extension (no paper counterpart): Monte Carlo variants of one topology share a single vectorized transient solve — one adaptive grid, one Newton history, one cached symbolic ordering across K parameter-jittered instances — beating the same campaign run as independent process-pool jobs in both virtual-clock work and wall time, with every variant within the loose (1e-3) rung against its own sequential run.",
+    "table_r11": "Extension (no paper counterpart): Monte Carlo variants of one topology share a single vectorized transient solve — one adaptive grid and one Newton history across K parameter-jittered instances — beating the same campaign run as independent process-pool jobs in both virtual-clock work and wall time, with every variant within the loose (1e-3) rung against its own sequential run.",
     "table_r11_smoke": "CI smoke subset of Table R11 (two families, 6 variants, 2 workers); same both-clocks win and per-variant accuracy expectations, and its metrics dump feeds the perf gate's ensemble.variants_per_solve benefit channel.",
     "table_r12": "Extension (no paper counterpart): the simulation service — persistent content-hash queue, farm nodes sharing one result cache, stdlib HTTP front end — absorbs a seeded 200-request mixed workload (duplicate submissions, campaign bursts, status polls, rotating tenants) with zero errors, drains completely, and executes each distinct spec exactly once; the counter dump is deterministic and trends the queue dedup rate and per-node completion split in the perf gate.",
     "table_r12_smoke": "CI smoke subset of Table R12 (60 requests, 6 unique specs, 2 in-process nodes); same zero-error drain and exactly-once execution expectations, with service.* counters gated by repro perf diff.",

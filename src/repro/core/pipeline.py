@@ -30,6 +30,7 @@ from repro.engine.transient import (
     TransientStats,
     _build_waveforms,
     _initial_solution,
+    accept_point,
     solve_timepoint,
 )
 from repro.errors import SimulationError, TimestepError
@@ -48,7 +49,6 @@ from repro.instrument.metrics import RunMetrics
 from repro.instrument.recorder import resolve_recorder
 from repro.integration.controller import StepController
 from repro.integration.history import Timepoint, TimepointHistory
-from repro.integration.lte import lte_verdict
 from repro.linalg.solve import LinearSolver
 from repro.mna.compiler import CompiledCircuit, compile_circuit
 from repro.mna.system import MnaSystem
@@ -290,16 +290,7 @@ class PipelineEngine:
 
     def verdict_for(self, solution: PointSolution):
         """LTE test against the live history, honouring the solve step."""
-        return lte_verdict(
-            solution.scheme.method_used,
-            solution.scheme.order,
-            self.history,
-            solution.t,
-            solution.result.x,
-            self.system.voltage_mask,
-            self.options,
-            h_solve=solution.scheme.h,
-        )
+        return accept_point(self.system, self.history, solution, self.options)
 
     def commit_point(self, solution: PointSolution, h_taken: float) -> None:
         """Append an accepted point and record its trace sample."""

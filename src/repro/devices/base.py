@@ -150,6 +150,10 @@ class DeviceBank(abc.ABC):
     #: devices cost more than linear ones (used by the cost model).
     work_weight: float = 1.0
 
+    #: True for banks whose currents are nonlinear in the solution; the
+    #: Newton solvers damp updates only when some bank sets it.
+    nonlinear: bool = False
+
     #: Capability flag: True when this bank honours the ensemble shape
     #: contract (trailing ``sims`` axis on parameters, stamps and
     #: limiting). Concrete banks opt in explicitly; the base default is

@@ -35,6 +35,7 @@ class BjtBank(DeviceBank):
 
     work_weight = 2.0
     supports_ensemble = True
+    nonlinear = True
     ensemble_params = (
         "sign",
         "isat",

@@ -98,6 +98,7 @@ class DiodeBank(DeviceBank):
 
     work_weight = 1.0
     supports_ensemble = True
+    nonlinear = True
     ensemble_params = ("isat", "n", "cj0", "vj", "m", "tt", "vt", "vcrit")
 
     def __init__(self, names, anode_idx, cathode_idx, models, areas, gmin: float):

@@ -31,6 +31,7 @@ class MosfetBank(DeviceBank):
 
     work_weight = 2.0
     supports_ensemble = True
+    nonlinear = True
     ensemble_params = ("sign", "vto", "beta", "lam", "gamma", "phi", "cgs", "cgd")
 
     def __init__(self, names, d_idx, g_idx, s_idx, b_idx, models, widths, lengths, gmin):

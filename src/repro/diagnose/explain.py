@@ -468,7 +468,6 @@ def _phases(tree, counters) -> dict:
         "total_cost": total,
         "lu": {
             "factorisations": int(counters.get("lu.factor", 0)),
-            "refactorisations": int(counters.get("lu.refactor", 0)),
             "solves": int(counters.get("lu.solve", 0)),
             "reuse_hits": int(counters.get("lu.reuse_hit", 0)),
         },
@@ -695,7 +694,7 @@ def render_text(report: ExplainReport) -> str:
     lu = ph.get("lu", {})
     if any(lu.values()):
         lines.append(
-            f"  LU: {lu['factorisations']} factor + {lu['refactorisations']} "
-            f"refactor, {lu['solves']} solves, {lu['reuse_hits']} reuse hits"
+            f"  LU: {lu['factorisations']} factor, {lu['solves']} solves, "
+            f"{lu['reuse_hits']} reuse hits"
         )
     return "\n".join(lines) + "\n"

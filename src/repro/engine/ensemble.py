@@ -1,53 +1,35 @@
 """Ensemble transient engine: K parameter variants per solve.
 
-Runs the sequential LTE-controlled loop of
-:mod:`repro.engine.transient` over an
-:class:`~repro.mna.ensemble.EnsembleSystem`: one shared time grid, one
-lockstep Newton solve per candidate point
-(:func:`~repro.solver.ensemble.ensemble_newton_solve`), per-variant LTE
-ratios combined with a max-reduction accept rule
-(:func:`~repro.integration.lte.ensemble_lte_verdict`). DC operating
-points stay on the scalar path — homotopy fallbacks mutate per-variant
-bank state — and are stacked into the ``(n, K)`` starting state.
+:func:`run_ensemble_transient` is the ensemble-specific shell around the
+one LTE-controlled loop, :func:`~repro.engine.transient.drive_transient`:
+it batches the variants into an
+:class:`~repro.mna.ensemble.EnsembleSystem`, stacks per-variant DC
+operating points into the ``(n, K)`` starting state, and splits the
+accepted ``(points, n, K)`` block back into K results. The shared grid,
+the lockstep Newton solve per candidate point and the max-reduction LTE
+accept rule all follow from the driver picking the ensemble kernel for a
+system with a ``sims`` axis (:func:`~repro.engine.transient.kernel_for`).
 
-The control flow mirrors :func:`~repro.engine.transient.run_transient`
-statement for statement (same initial step, attempt budget, breakpoint
-handling and controller transitions), so a K=1 ensemble retraces the
-sequential run bit for bit, with factorisation reuse on or off.
+DC operating points stay on the scalar path — homotopy fallbacks mutate
+per-variant bank state. Because the loop *is* the sequential one, a K=1
+ensemble retraces the sequential run bit for bit, with factorisation
+reuse on or off.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.circuit.circuit import Circuit
-from repro.errors import TimestepError
-from repro.instrument.events import (
-    DCOP,
-    LTE_REJECT,
-    OUTCOME_ACCEPTED,
-    OUTCOME_LTE_REJECT,
-    OUTCOME_NEWTON_FAIL,
-    RUN,
-    STEP_ACCEPT,
-    TIMESTEP,
-)
-from repro.instrument.metrics import RunMetrics
-from repro.instrument.recorder import resolve_recorder
 from repro.engine.transient import (
-    END_SLACK,
-    MAX_ATTEMPTS_FACTOR,
     TransientResult,
     TransientStats,
+    _initial_solution,
+    drive_transient,
 )
-from repro.integration.controller import StepController
-from repro.integration.history import Timepoint, TimepointHistory
-from repro.integration.lte import LteVerdict, ensemble_lte_verdict
-from repro.integration.methods import SchemeCoefficients, scheme_coefficients
-from repro.linalg.solve import BlockSolver
+from repro.instrument.metrics import RunMetrics
 from repro.mna.compiler import CompiledCircuit
 from repro.mna.ensemble import (
     EnsembleCompilation,
@@ -55,96 +37,8 @@ from repro.mna.ensemble import (
     ensemble_from_compiled,
 )
 from repro.mna.system import MnaSystem
-from repro.solver.dcop import solve_operating_point
-from repro.solver.ensemble import EnsembleNewtonResult, ensemble_newton_solve
 from repro.utils.options import SimOptions
 from repro.waveform.waveform import WaveformSet
-
-
-@dataclass
-class EnsemblePointSolution:
-    """One attempted ensemble time point: lockstep Newton outcome + scheme."""
-
-    t: float
-    result: EnsembleNewtonResult
-    scheme: SchemeCoefficients
-
-    @property
-    def converged(self) -> bool:
-        return self.result.converged
-
-    def to_timepoint(self) -> Timepoint:
-        """Package as an accepted history point (requires convergence)."""
-        return Timepoint(
-            t=self.t, x=self.result.x, q=self.result.q, qdot=self.result.qdot
-        )
-
-
-def solve_ensemble_timepoint(
-    system,
-    history: TimepointHistory,
-    t_new: float,
-    options: SimOptions,
-    force_be: bool,
-    buffers=None,
-    solver: BlockSolver | None = None,
-    x_guess: np.ndarray | None = None,
-    iter_cap: int | None = None,
-) -> EnsemblePointSolution:
-    """Lockstep Newton-solve all K variants at *t_new* against *history*.
-
-    The ensemble analogue of
-    :func:`~repro.engine.transient.solve_timepoint`: the history carries
-    ``(n, K)`` solutions and charges, so the predictor, the scheme's
-    ``beta`` and the converged charge derivative all inherit the variant
-    axis elementwise.
-    """
-    buffers = (
-        buffers
-        if buffers is not None
-        else system.make_buffers(fast_path=options.jacobian_reuse)
-    )
-    scheme = scheme_coefficients(options.method, history, t_new, force_be=force_be)
-    if x_guess is None:
-        if options.newton_guess == "predictor":
-            x_guess = history.predict(t_new, options.predictor_order)
-        else:
-            x_guess = history.last.x
-    result = ensemble_newton_solve(
-        system,
-        t_new,
-        scheme.alpha0,
-        scheme.beta,
-        x_guess,
-        options,
-        out=buffers,
-        solver=solver,
-        iter_cap=iter_cap,
-    )
-    if result.converged:
-        system.eval(result.x, t_new, buffers)
-        result.q = system.charge(buffers)
-        result.qdot = scheme.qdot(result.q)
-    return EnsemblePointSolution(t_new, result, scheme)
-
-
-def accept_ensemble_point(
-    system,
-    history: TimepointHistory,
-    solution: EnsemblePointSolution,
-    options: SimOptions,
-) -> tuple[LteVerdict, np.ndarray]:
-    """Max-reduction truncation-error test for a converged ensemble point."""
-    return ensemble_lte_verdict(
-        solution.scheme.method_used,
-        solution.scheme.order,
-        history,
-        solution.t,
-        solution.result.x,
-        system.voltage_mask,
-        options,
-        h_solve=solution.scheme.h,
-    )
 
 
 @dataclass
@@ -178,70 +72,6 @@ class EnsembleTransientResult:
 
     def __len__(self) -> int:
         return len(self.variants)
-
-
-def _ensemble_initial_solution(
-    ensemble: EnsembleCompilation,
-    options: SimOptions,
-    uic: bool,
-    node_ics: dict[str, float] | None,
-    stats: TransientStats,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked ``(n, K)`` starting state from per-variant scalar solves.
-
-    DC homotopy fallbacks mutate bank state (gshunt schedule, source
-    scale), so each variant gets its own scalar
-    :class:`~repro.mna.system.MnaSystem` over its own compiled circuit;
-    the ensemble banks stay untouched. Books the phase's wall time and
-    cost sums into *stats* exactly as the scalar engine does, and emits
-    one ``dcop`` span per variant.
-    """
-    rec = resolve_recorder(options.instrument)
-    started = time.perf_counter()
-    xs: list[np.ndarray] = []
-    qs: list[np.ndarray] = []
-    for k, compiled in enumerate(ensemble.variants):
-        system = MnaSystem(compiled)
-        if not uic:
-            var_started = time.perf_counter()
-            op = solve_operating_point(system, options)
-            stats.dc_work_units += op.work_units
-            stats.newton_iterations += op.iterations
-            stats.lu_factors += op.lu_factors
-            stats.lu_refactors += op.lu_refactors
-            stats.lu_solves += op.lu_solves
-            stats.lu_reuse_hits += op.lu_reuse_hits
-            if rec.enabled:
-                dur = time.perf_counter() - var_started
-                rec.emit_span(
-                    DCOP,
-                    ts=rec.clock() - dur,
-                    dur=dur,
-                    t_sim=0.0,
-                    cost=op.work_units,
-                    strategy=op.strategy,
-                    iterations=op.iterations,
-                    work_units=op.work_units,
-                    variant=k,
-                )
-            xs.append(op.x)
-            qs.append(op.q)
-            continue
-        x0 = np.zeros(system.n)
-        for key, value in compiled.initial_conditions.items():
-            kind, _, name = key.partition(":")
-            if kind == "v":
-                x0[compiled.node_voltage_index(name)] = value
-            else:
-                x0[compiled.branch_current_index(name)] = value
-        for node, value in (node_ics or {}).items():
-            x0[compiled.node_voltage_index(node)] = value
-        out = system.make_buffers()
-        system.eval(x0, 0.0, out)
-        xs.append(x0)
-        qs.append(system.charge(out))
-    stats.dcop_seconds = time.perf_counter() - started
-    return np.stack(xs, axis=1), np.stack(qs, axis=1)
 
 
 def run_ensemble_transient(
@@ -279,135 +109,39 @@ def run_ensemble_transient(
     options = options or ensemble.variants[0].options
     if instrument is not None:
         options = options.replace(instrument=instrument)
-    rec = resolve_recorder(options.instrument)
-    tracing = rec.enabled
     system = ensemble.system
-    sims = system.sims
-    stats = TransientStats()
-    started = time.perf_counter()
-    run_sid = rec.begin_span(RUN, kind="ensemble", sims=sims) if tracing else 0
 
-    x0, q0 = _ensemble_initial_solution(ensemble, options, uic, node_ics, stats)
-    history = TimepointHistory()
-    history.append(Timepoint(0.0, x0, q0, np.zeros((system.n, sims))))
+    def start(stats: TransientStats) -> tuple[np.ndarray, np.ndarray]:
+        # One scalar system per variant: DC homotopy fallbacks mutate bank
+        # state (gshunt schedule, source scale), which the ensemble banks
+        # must not see.
+        states = [
+            _initial_solution(MnaSystem(compiled), options, uic, node_ics, stats)
+            for compiled in ensemble.variants
+        ]
+        x0s, q0s = zip(*states)
+        return np.stack(x0s, axis=1), np.stack(q0s, axis=1)
 
-    compiled0 = ensemble.variants[0]
-    h0 = options.first_step_fraction * (tstep if tstep else tstop / 50.0)
-    controller = StepController(
-        options, tstop, h0, compiled0.collect_breakpoints(tstop)
-    )
-
-    rec_times = [0.0]
-    rec_x = [x0]
-    step_sizes: list[float] = []
-    buffers = system.make_buffers(fast_path=options.jacobian_reuse)
-    solver = BlockSolver(sims, system.unknown_names)
-
-    t = 0.0
-    attempts = 0
-    max_attempts = MAX_ATTEMPTS_FACTOR * max(int(tstop / h0), 1000)
-    while t < tstop * (1.0 - END_SLACK):
-        attempts += 1
-        if attempts > max_attempts:
-            raise TimestepError(
-                f"attempt budget exhausted at t={t:.3e}s "
-                f"({stats.accepted_points} accepted, {stats.rejected_points} rejected)"
-            )
-        h, hits_bp = controller.propose(t)
-        step_sid = (
-            rec.begin_span(TIMESTEP, t_sim=t + h, h=h, sims=sims) if tracing else 0
+    shared, xs = drive_transient(system, start, tstop, tstep, options, scheme="ensemble")
+    block = np.stack(xs, axis=0)  # (points, n, K)
+    variants = [
+        replace(
+            shared,
+            waveforms=WaveformSet(
+                shared.times,
+                {
+                    name: np.ascontiguousarray(block[:, i, k])
+                    for i, name in enumerate(system.unknown_names)
+                },
+            ),
         )
-        solution = solve_ensemble_timepoint(
-            system, history, t + h, options, controller.force_be, buffers, solver
-        )
-        stats.work_units += solution.result.work_units
-        stats.newton_iterations += solution.result.iterations
-        stats.charge_lu(solution.result)
-        if not solution.converged:
-            stats.newton_failures += 1
-            if tracing:
-                rec.end_span(
-                    step_sid,
-                    outcome=OUTCOME_NEWTON_FAIL,
-                    cost=solution.result.work_units,
-                )
-            controller.on_newton_failure(h)
-            continue
-
-        verdict, ratios = accept_ensemble_point(system, history, solution, options)
-        if not verdict.accepted:
-            stats.rejected_points += 1
-            if tracing:
-                rec.end_span(
-                    step_sid,
-                    outcome=OUTCOME_LTE_REJECT,
-                    cost=solution.result.work_units,
-                )
-                rec.count("lte.rejects")
-                rec.count("ensemble.lte.rejects")
-                rec.event(
-                    LTE_REJECT,
-                    t_sim=solution.t,
-                    h=h,
-                    h_optimal=verdict.h_optimal,
-                    worst_variant=int(ratios.argmax()) if ratios.size else -1,
-                )
-            controller.on_reject(h, verdict)
-            continue
-
-        history.append(solution.to_timepoint())
-        controller.on_accept(h, verdict, hits_bp)
-        if hits_bp:
-            history.mark_era()
-        t = solution.t
-        stats.accepted_points += 1
-        rec_times.append(t)
-        rec_x.append(solution.result.x)
-        step_sizes.append(h)
-        if tracing:
-            rec.end_span(
-                step_sid, outcome=OUTCOME_ACCEPTED, cost=solution.result.work_units
-            )
-            rec.count("points.accepted")
-            rec.count("ensemble.points.accepted")
-            rec.observe("step.h_accepted", h)
-            if ratios.size:
-                rec.observe("ensemble.lte.worst_ratio", float(ratios.max()))
-            rec.event(STEP_ACCEPT, t_sim=t, h=h)
-
-    stats.tran_seconds = time.perf_counter() - started - stats.dcop_seconds
-    if tracing:
-        rec.end_span(
-            run_sid, cost=stats.total_work, accepted=stats.accepted_points
-        )
-    metrics = RunMetrics.from_stats(
-        stats, scheme="ensemble", threads=1, recorder=rec if tracing else None
-    )
-
-    times = np.array(rec_times)
-    steps = np.array(step_sizes)
-    block = np.stack(rec_x, axis=0)  # (points, n, K)
-    variants = []
-    for k in range(sims):
-        data = {
-            name: np.ascontiguousarray(block[:, i, k])
-            for i, name in enumerate(system.unknown_names)
-        }
-        variants.append(
-            TransientResult(
-                waveforms=WaveformSet(times, data),
-                stats=stats,
-                times=times,
-                step_sizes=steps,
-                options=options,
-                metrics=metrics,
-            )
-        )
+        for k in range(system.sims)
+    ]
     return EnsembleTransientResult(
         variants=variants,
-        stats=stats,
-        times=times,
-        step_sizes=steps,
+        stats=shared.stats,
+        times=shared.times,
+        step_sizes=shared.step_sizes,
         options=options,
-        metrics=metrics,
+        metrics=shared.metrics,
     )

@@ -20,12 +20,12 @@ The observability substrate of the engine (see ``docs/observability.md``):
 
 Typical use::
 
-    from repro import run_wavepipe
+    from repro import simulate
     from repro.instrument import Recorder, write_chrome_trace
 
     rec = Recorder()
-    result = run_wavepipe(circuit, 1e-6, scheme="combined", threads=3,
-                          instrument=rec)
+    result = simulate(circuit, analysis="wavepipe", tstop=1e-6,
+                      scheme="combined", threads=3, instrument=rec)
     print(result.metrics.summary())
     write_chrome_trace(rec, "run.trace.json")   # open in Perfetto
 """

@@ -34,7 +34,6 @@ class RunMetrics:
 
     # Linear-solver cost breakdown (factorisation-reuse fast path).
     lu_factors: int = 0
-    lu_refactors: int = 0
     lu_solves: int = 0
     lu_reuse_hits: int = 0
     bypass_fallbacks: int = 0
@@ -150,7 +149,6 @@ class RunMetrics:
             dcop_seconds=stats.dcop_seconds,
             tran_seconds=stats.tran_seconds,
             lu_factors=getattr(stats, "lu_factors", 0),
-            lu_refactors=getattr(stats, "lu_refactors", 0),
             lu_solves=getattr(stats, "lu_solves", 0),
             lu_reuse_hits=getattr(stats, "lu_reuse_hits", 0),
             bypass_fallbacks=getattr(stats, "bypass_fallbacks", 0),
@@ -196,7 +194,6 @@ class RunMetrics:
             "tran_seconds": self.tran_seconds,
             "wall_seconds": self.wall_seconds,
             "lu_factors": self.lu_factors,
-            "lu_refactors": self.lu_refactors,
             "lu_solves": self.lu_solves,
             "lu_reuse_hits": self.lu_reuse_hits,
             "reuse_hit_rate": self.reuse_hit_rate,
@@ -252,8 +249,7 @@ class RunMetrics:
             )
         if self.lu_solves:
             lines.append(
-                f"  lu: {self.lu_factors} factor + {self.lu_refactors} refactor, "
-                f"{self.lu_solves} back-solves "
+                f"  lu: {self.lu_factors} factor, {self.lu_solves} back-solves "
                 f"({self.reuse_hit_rate:.1%} on reused factors, "
                 f"{self.bypass_fallbacks} bypass fallbacks)"
             )

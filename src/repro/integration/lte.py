@@ -20,7 +20,7 @@ the uncapped value to place its leading point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,12 +49,41 @@ class LteVerdict:
             retry, when rejected).
         estimated: False when there were too few points for an estimate
             (the candidate is then accepted by construction).
+        ratios: *estimated* ensemble verdicts only — the ``(K,)``
+            per-variant error ratios behind the max-reduced *error_ratio*.
     """
 
     accepted: bool
     error_ratio: float
     h_optimal: float
     estimated: bool
+    ratios: np.ndarray | None = field(default=None, compare=False)
+
+
+def _unknown_error_ratios(
+    method_used, order, history, t_new, x_new, voltage_mask, options, h
+) -> np.ndarray | None:
+    """|LTE| / tolerance per voltage unknown (per variant column, if any).
+
+    None when no estimate is possible: too few history points (cold
+    start) or no voltage unknowns.
+    """
+    needed = order + 2  # dd of order k+1 needs k+2 points
+    points = [(t_new, x_new)] + [(p.t, p.x) for p in history.newest(needed - 1)]
+    if len(points) < needed:
+        return None
+
+    dd = divided_difference(points[:needed])
+    err = ERROR_CONSTANTS[method_used] * (h ** (order + 1)) * np.abs(dd)
+
+    scale = np.maximum(np.abs(x_new), np.abs(history.last.x))
+    tol = options.trtol * (
+        options.effective_lte_reltol * scale + options.effective_lte_abstol
+    )
+    masked_err = err[voltage_mask]
+    if masked_err.size == 0:
+        return None
+    return masked_err / tol[voltage_mask]
 
 
 def lte_verdict(
@@ -81,24 +110,13 @@ def lte_verdict(
             accepted siblings.
     """
     h = h_solve if h_solve is not None else t_new - history.last.t
-    needed = order + 2  # dd of order k+1 needs k+2 points
-    points = [(t_new, x_new)] + [(p.t, p.x) for p in history.newest(needed - 1)]
-    if len(points) < needed:
-        return LteVerdict(True, 0.0, h * options.step_ratio_max, False)
-
-    dd = divided_difference(points[:needed])
-    err = ERROR_CONSTANTS[method_used] * (h ** (order + 1)) * np.abs(dd)
-
-    scale = np.maximum(np.abs(x_new), np.abs(history.last.x))
-    tol = options.trtol * (
-        options.effective_lte_reltol * scale + options.effective_lte_abstol
+    per_unknown = _unknown_error_ratios(
+        method_used, order, history, t_new, x_new, voltage_mask, options, h
     )
-    masked_err = err[voltage_mask]
-    masked_tol = tol[voltage_mask]
-    if masked_err.size == 0:
+    if per_unknown is None:
         return LteVerdict(True, 0.0, h * options.step_ratio_max, False)
 
-    ratio = float(np.max(masked_err / masked_tol))
+    ratio = float(np.max(per_unknown))
     if ratio <= 0.0:
         return LteVerdict(True, 0.0, h * ZERO_ERROR_GROWTH, True)
 
@@ -116,7 +134,7 @@ def ensemble_lte_verdict(
     voltage_mask: np.ndarray,
     options: SimOptions,
     h_solve: float | None = None,
-) -> tuple[LteVerdict, np.ndarray]:
+) -> LteVerdict:
     """Per-variant truncation-error test with a max-reduction accept rule.
 
     The ensemble shares one time grid, so a candidate point is accepted
@@ -127,29 +145,17 @@ def ensemble_lte_verdict(
     all per-unknown formulas match :func:`lte_verdict` elementwise, so
     K=1 reproduces the scalar verdict bit for bit.
 
-    Returns ``(combined verdict, per-variant error ratios)``; the ratio
-    array is empty when no estimate was possible.
+    The combined verdict carries the per-variant error ratios in
+    ``ratios`` (None when no estimate was possible).
     """
     h = h_solve if h_solve is not None else t_new - history.last.t
-    sims = x_new.shape[1]
-    needed = order + 2
-    points = [(t_new, x_new)] + [(p.t, p.x) for p in history.newest(needed - 1)]
-    if len(points) < needed:
-        return LteVerdict(True, 0.0, h * options.step_ratio_max, False), np.zeros(0)
-
-    dd = divided_difference(points[:needed])
-    err = ERROR_CONSTANTS[method_used] * (h ** (order + 1)) * np.abs(dd)
-
-    scale = np.maximum(np.abs(x_new), np.abs(history.last.x))
-    tol = options.trtol * (
-        options.effective_lte_reltol * scale + options.effective_lte_abstol
+    per_unknown = _unknown_error_ratios(
+        method_used, order, history, t_new, x_new, voltage_mask, options, h
     )
-    masked_err = err[voltage_mask]
-    masked_tol = tol[voltage_mask]
-    if masked_err.size == 0:
-        return LteVerdict(True, 0.0, h * options.step_ratio_max, False), np.zeros(0)
+    if per_unknown is None:
+        return LteVerdict(True, 0.0, h * options.step_ratio_max, False)
 
-    ratios = np.max(masked_err / masked_tol, axis=0)
+    ratios = np.max(per_unknown, axis=0)
     # Per-variant h_optimal in Python floats: C pow and numpy's float64
     # pow can differ in the last ulp, and K=1 must retrace the scalar
     # verdict bit for bit.
@@ -163,11 +169,8 @@ def ensemble_lte_verdict(
             h_opts[k] = h * min(SAFETY * factor, ZERO_ERROR_GROWTH)
     worst = float(ratios.max())
     if worst <= 0.0:
-        return LteVerdict(True, 0.0, h * ZERO_ERROR_GROWTH, True), ratios
-    return (
-        LteVerdict(worst <= 1.0, worst, float(h_opts.min()), True),
-        ratios,
-    )
+        return LteVerdict(True, 0.0, h * ZERO_ERROR_GROWTH, True, ratios=ratios)
+    return LteVerdict(worst <= 1.0, worst, float(h_opts.min()), True, ratios=ratios)
 
 
 def predicted_max_step(

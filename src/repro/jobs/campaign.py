@@ -296,7 +296,6 @@ def rollup_metrics(outcomes: list[JobOutcome], workers: int = 1) -> RunMetrics:
         metrics.newton_iterations += int(stats.get("newton_iterations", 0))
         metrics.work_units += float(stats.get("work_units", 0.0))
         metrics.lu_factors += int(stats.get("lu_factors", 0))
-        metrics.lu_refactors += int(stats.get("lu_refactors", 0))
         metrics.lu_solves += int(stats.get("lu_solves", 0))
         metrics.lu_reuse_hits += int(stats.get("lu_reuse_hits", 0))
         metrics.bypass_fallbacks += int(stats.get("bypass_fallbacks", 0))

@@ -48,7 +48,6 @@ from repro.utils.options import SimOptions
 #: remaining _STAT_FIELDS are grid-level counts shared verbatim.
 _APPORTIONED_INT_FIELDS = (
     "lu_factors",
-    "lu_refactors",
     "lu_solves",
     "lu_reuse_hits",
     "bypass_fallbacks",

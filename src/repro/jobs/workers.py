@@ -45,7 +45,6 @@ _STAT_FIELDS = (
     "newton_iterations",
     "work_units",
     "lu_factors",
-    "lu_refactors",
     "lu_solves",
     "lu_reuse_hits",
     "bypass_fallbacks",

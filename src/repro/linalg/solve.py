@@ -19,14 +19,10 @@ needs:
   bypass". Counted separately (``reuse_hits``) so the cost model can price
   a reused factorisation at its true (back-solve only) cost.
 
-On the sparse path the column permutation computed by the first
-factorisation of a pattern is cached and re-applied on subsequent
-factorisations (``permc_spec="NATURAL"`` on the pre-permuted matrix), so
-only the numeric phase is repeated; those show up as ``refactor_count``
-rather than ``factor_count``. Pattern identity is tracked by the CSC
-``indices`` array *object*, so a matrix assembled for a different
-:class:`~repro.mna.pattern.JacobianPattern` (a different ``MnaSystem``)
-never inherits a stale ordering.
+Every sparse factorisation is a fresh ``splu`` (COLAMD ordering
+included): scipy exposes no numeric-only refactorisation, and re-applying
+a cached ordering through ``permc_spec="NATURAL"`` measured 2-3x slower
+than letting SuperLU order the matrix itself.
 
 All cache state is per-instance: WavePipe tasks each own a solver, so
 reuse never crosses thread boundaries.
@@ -54,16 +50,13 @@ class LinearSolver:
     """Factor-and-solve helper bound to one matrix size.
 
     Instances are cheap; WavePipe tasks each use their own. The cached
-    factorisation (and the symbolic ordering on the sparse path) lives on
-    the instance, never in shared state.
+    factorisation lives on the instance, never in shared state.
     """
 
     def __init__(self, unknown_names: list[str] | None = None):
         self.unknown_names = unknown_names
-        #: Full factorisations performed (symbolic + numeric).
+        #: Factorisations performed.
         self.factor_count = 0
-        #: Numeric-only refactorisations reusing a cached symbolic ordering.
-        self.refactor_count = 0
         #: Triangular back-solves performed.
         self.solve_count = 0
         #: Back-solves served from previously computed factors (bypass).
@@ -78,13 +71,6 @@ class LinearSolver:
         self._dense_ref: np.ndarray | None = None
         self._sparse_lu = None
         self._sparse_ref = None
-        #: Column permutation applied to the factored matrix (refactor
-        #: path) — None when the factors came from a fresh symbolic pass.
-        self._applied_perm: np.ndarray | None = None
-        #: Cached symbolic ordering and the identity of the pattern
-        #: (its CSC indices array) it was computed for.
-        self._perm_c: np.ndarray | None = None
-        self._sym_indices: np.ndarray | None = None
 
     # -- diagnostics -------------------------------------------------------------
 
@@ -118,14 +104,13 @@ class LinearSolver:
         )
 
     def invalidate(self) -> None:
-        """Drop the cached factors (the symbolic ordering survives)."""
+        """Drop the cached factors."""
         self._key = None
         self._mode = None
         self._dense_lu = None
         self._dense_ref = None
         self._sparse_lu = None
         self._sparse_ref = None
-        self._applied_perm = None
         self.bypass_streak = 0
 
     # -- factor / solve ----------------------------------------------------------
@@ -195,32 +180,18 @@ class LinearSolver:
         self._dense_ref = dense
         self._sparse_lu = None
         self._sparse_ref = None
-        self._applied_perm = None
         self._mode = "dense"
 
     # -- sparse path -------------------------------------------------------------
 
     def _factor_sparse(self, matrix) -> None:
+        self.factor_count += 1
         if not sp.issparse(matrix):
             matrix = sp.csc_matrix(matrix)
-        reuse_symbolic = (
-            self._perm_c is not None and matrix.indices is self._sym_indices
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", spla.MatrixRankWarning)
             try:
-                if reuse_symbolic:
-                    self.refactor_count += 1
-                    lu = spla.splu(
-                        matrix[:, self._perm_c].tocsc(), permc_spec="NATURAL"
-                    )
-                    applied_perm = self._perm_c
-                else:
-                    self.factor_count += 1
-                    lu = spla.splu(matrix)
-                    self._perm_c = np.asarray(lu.perm_c)
-                    self._sym_indices = matrix.indices
-                    applied_perm = None
+                lu = spla.splu(matrix)
             except RuntimeError as exc:
                 self._mode = None
                 raise SingularMatrixError(
@@ -229,7 +200,6 @@ class LinearSolver:
                 ) from None
         self._sparse_lu = lu
         self._sparse_ref = matrix
-        self._applied_perm = applied_perm
         self._dense_lu = None
         self._dense_ref = None
         self._mode = "sparse"
@@ -245,13 +215,7 @@ class LinearSolver:
                     unknown=self._suspect_dense(self._dense_ref),
                 )
             return result
-        solution = self._sparse_lu.solve(rhs)
-        if self._applied_perm is not None:
-            # Factored A[:, perm]: un-permute the solution components.
-            result = np.empty_like(solution)
-            result[self._applied_perm] = solution
-        else:
-            result = solution
+        result = self._sparse_lu.solve(rhs)
         if not np.all(np.isfinite(result)):
             raise SingularMatrixError(
                 "sparse solve produced non-finite values",
@@ -261,21 +225,12 @@ class LinearSolver:
 
 
 class BlockSolver:
-    """K per-variant solvers for an ensemble, sharing one symbolic ordering.
+    """K independent per-variant solvers for an ensemble.
 
-    Each variant of an ensemble factorises its own numeric Jacobian, but
-    every variant matrix is assembled over the same sparsity pattern (the
-    :class:`~repro.mna.pattern.BlockAssemblyWorkspace` matrices share the
-    pattern's ``indices`` array). The first sparse factorisation computes
-    the column ordering once; :meth:`factor_all` then seeds that cached
-    ordering into every other variant's solver before its first factor,
-    so variants 1..K-1 only ever pay the numeric phase (they book as
-    ``refactor_count``, exactly like the scalar reuse fast path).
-
-    Per-variant factor *caches* stay independent — the modified-Newton
-    bypass freezes and refactors variants individually — so the ensemble
-    Newton loop drives ``solvers[k]`` directly for back-solves and
-    bypass decisions.
+    Each variant factorises its own numeric Jacobian and keeps its own
+    factor cache — the modified-Newton bypass freezes and refactors
+    variants individually — so the ensemble Newton loop drives
+    ``solvers[k]`` directly for back-solves and bypass decisions.
     """
 
     def __init__(self, sims: int, unknown_names: list[str] | None = None):
@@ -288,7 +243,7 @@ class BlockSolver:
         key: object | None = None,
         active: np.ndarray | None = None,
     ) -> None:
-        """Factor each variant's matrix, sharing the symbolic ordering.
+        """Factor each variant's matrix.
 
         Args:
             matrices: K CSC matrices over one shared pattern.
@@ -296,36 +251,15 @@ class BlockSolver:
             active: optional ``(K,)`` bool mask; variants marked False
                 (converged/frozen) keep their existing factors untouched.
         """
-        donor = next((s for s in self.solvers if s._perm_c is not None), None)
         for k, (solver, matrix) in enumerate(zip(self.solvers, matrices)):
-            if active is not None and not active[k]:
-                continue
-            if (
-                solver._perm_c is None
-                and donor is not None
-                and sp.issparse(matrix)
-                and matrix.indices is donor._sym_indices
-            ):
-                solver._perm_c = donor._perm_c
-                solver._sym_indices = donor._sym_indices
-            solver.factor(matrix, key=key)
-            if donor is None and solver._perm_c is not None:
-                donor = solver
-
-    def invalidate_all(self) -> None:
-        """Drop every variant's cached factors (symbolic orderings survive)."""
-        for solver in self.solvers:
-            solver.invalidate()
+            if active is None or active[k]:
+                solver.factor(matrix, key=key)
 
     # -- aggregate counters (sum over variants) ----------------------------------
 
     @property
     def factor_count(self) -> int:
         return sum(s.factor_count for s in self.solvers)
-
-    @property
-    def refactor_count(self) -> int:
-        return sum(s.refactor_count for s in self.solvers)
 
     @property
     def solve_count(self) -> int:

@@ -35,49 +35,14 @@ from repro.utils.options import SimOptions
 class EnsembleSystem(MnaSystem):
     """MNA evaluation facade over K stacked parameter variants.
 
-    Identical to :class:`~repro.mna.system.MnaSystem` except that every
-    buffer gains a trailing ``(..., K)`` axis: ``pad`` produces
-    ``(n + 1, K)`` padded solutions, ``make_buffers`` allocates ensemble
-    :class:`~repro.devices.base.EvalOutputs`, and ``jacobian`` assembles
+    An :class:`~repro.mna.system.MnaSystem` with ``sims == K``: every
+    buffer gains a trailing ``(..., K)`` axis and ``jacobian`` assembles
     all K variant matrices through one
-    :class:`~repro.mna.pattern.BlockAssemblyWorkspace` scatter. The K
-    matrices share the pattern's ``indices`` array, so each variant's
-    factorisation hits the same symbolic-reuse identity key as the scalar
-    fast path.
+    :class:`~repro.mna.pattern.BlockAssemblyWorkspace` scatter.
     """
 
     def __init__(self, compiled: CompiledCircuit, sims: int):
-        super().__init__(compiled)
-        self.sims = sims
-
-    def make_buffers(self, fast_path: bool = False) -> EvalOutputs:
-        """Fresh ensemble buffers; always carries a block workspace.
-
-        Unlike the scalar path the workspace is unconditional — plain
-        :meth:`~repro.mna.pattern.JacobianPattern.assemble` cannot build
-        K matrices — but assembly order matches the scalar scatter
-        exactly, so K=1 stays bit-identical with *fast_path* on or off.
-        """
-        out = EvalOutputs(self.n, self._n_g_slots, self._n_c_slots, sims=self.sims)
-        if fast_path:
-            out.enable_static_stamps(*self._static_baselines())
-        out.workspace = self.pattern.block_workspace(self.sims)
-        return out
-
-    def _static_baselines(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._static_base is None:
-            g = np.zeros((self._n_g_slots, self.sims))
-            c = np.zeros((self._n_c_slots, self.sims))
-            for bank in self.compiled.banks:
-                bank.write_static_stamps(g, c)
-            self._static_base = (g, c)
-        return self._static_base
-
-    def pad(self, x: np.ndarray) -> np.ndarray:
-        """Append the ground/trash row (zeros) to an ``(n, K)`` solution."""
-        x_full = np.zeros((self.n + 1, self.sims))
-        x_full[: self.n] = x
-        return x_full
+        super().__init__(compiled, sims)
 
     def jacobian(self, out: EvalOutputs, alpha0: float):
         """All K variant Jacobians ``G_k + alpha0*C_k + gshunt*I`` (aliased)."""

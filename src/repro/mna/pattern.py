@@ -10,7 +10,7 @@ pattern — wasteful, since the pattern never changes after compilation.
 capacitance (C) streams. :meth:`PatternBuilder.finalize` computes the CSC
 structure of the union pattern and a scatter map from each slot to its CSC
 data index. :meth:`JacobianPattern.assemble` then builds a Jacobian with
-two ``np.add.at`` scatters and no sorting.
+two ``np.add.at`` scatters (:meth:`JacobianPattern.scatter`) and no sorting.
 
 Ground handling: unknowns are indexed ``0..n-1``; index ``n`` is a *trash*
 position. Stamps touching ground write to row/col ``n`` and are scattered
@@ -197,22 +197,41 @@ class JacobianPattern:
                 f"pattern ({self.n_g_slots}, {self.n_c_slots})"
             )
         data = np.zeros(self.nnz + 1)
-        np.add.at(data, self.g_map, g_vals)
-        if alpha0 != 0.0 and c_vals.size:
-            np.add.at(data, self.c_map, alpha0 * c_vals)
-        if diag_shift:
-            np.add.at(data, self.diag_map, diag_shift)
+        self.scatter(data, g_vals, c_vals, alpha0, diag_shift)
         return sp.csc_matrix(
             (data[: self.nnz], self.indices, self.indptr),
             shape=(self.size, self.size),
         )
 
-    def workspace(self) -> "AssemblyWorkspace":
-        """A reusable in-place assembly buffer bound to this pattern."""
-        return AssemblyWorkspace(self)
+    def scatter(
+        self,
+        data: np.ndarray,
+        g_vals: np.ndarray,
+        c_vals: np.ndarray,
+        alpha0: float,
+        diag_shift: float,
+    ) -> None:
+        """Accumulate ``G + alpha0*C (+ diag_shift*I)`` into zeroed *data*.
 
-    def block_workspace(self, sims: int) -> "BlockAssemblyWorkspace":
-        """A reusable K-variant ensemble assembly buffer for this pattern."""
+        *data* is ``(nnz + 1,)``, or ``(nnz + 1, K)`` for ``(n_slots, K)``
+        slot arrays; its last row is the trash slot. Every assembly path
+        goes through here, so their summation order cannot drift apart
+        (a K=1 ensemble must stay bit-identical to the scalar path).
+        """
+        np.add.at(data, self.g_map, g_vals)
+        if alpha0 != 0.0 and c_vals.size:
+            np.add.at(data, self.c_map, alpha0 * c_vals)
+        if diag_shift:
+            np.add.at(data, self.diag_map, diag_shift)
+
+    def workspace(self, sims: int | None = None):
+        """A reusable in-place assembly buffer bound to this pattern.
+
+        An :class:`AssemblyWorkspace` on the scalar path (``sims is
+        None``), a K-variant :class:`BlockAssemblyWorkspace` otherwise.
+        """
+        if sims is None:
+            return AssemblyWorkspace(self)
         return BlockAssemblyWorkspace(self, sims)
 
 
@@ -240,9 +259,6 @@ class AssemblyWorkspace:
     def __init__(self, pattern: JacobianPattern):
         self.pattern = pattern
         self._data = np.zeros(pattern.nnz + 1)
-        # The matrix shares the pattern's indices/indptr arrays; the
-        # identity of `indices` doubles as the symbolic-reuse cache key
-        # in LinearSolver.
         self._matrix = sp.csc_matrix(
             (self._data[: pattern.nnz], pattern.indices, pattern.indptr),
             shape=(pattern.size, pattern.size),
@@ -256,14 +272,8 @@ class AssemblyWorkspace:
         diag_shift: float = 0.0,
     ) -> sp.csc_matrix:
         """In-place equivalent of :meth:`JacobianPattern.assemble`."""
-        pattern = self.pattern
-        data = self._data
-        data.fill(0.0)
-        np.add.at(data, pattern.g_map, g_vals)
-        if alpha0 != 0.0 and c_vals.size:
-            np.add.at(data, pattern.c_map, alpha0 * c_vals)
-        if diag_shift:
-            np.add.at(data, pattern.diag_map, diag_shift)
+        self._data.fill(0.0)
+        self.pattern.scatter(self._data, g_vals, c_vals, alpha0, diag_shift)
         return self._matrix
 
 
@@ -277,11 +287,7 @@ class BlockAssemblyWorkspace:
     copy is needed because scipy will not alias a column of a 2-D block;
     it is O(nnz) per variant, the same order as the scatter itself.
 
-    The K ``csc_matrix`` objects are built once and share the pattern's
-    ``indices`` / ``indptr`` arrays, so every variant matrix carries the
-    same symbolic-reuse identity key as the scalar fast path
-    (:class:`~repro.linalg.solve.LinearSolver` caches the ordering by the
-    identity of ``indices``). Matrices are aliased exactly like
+    The K ``csc_matrix`` objects are built once and aliased exactly like
     :class:`AssemblyWorkspace` — a later :meth:`assemble` overwrites all
     of them.
     """
@@ -303,12 +309,6 @@ class BlockAssemblyWorkspace:
             )
             for k in range(sims)
         ]
-        # scipy copies the structure arrays at construction; re-alias them
-        # so all K matrices share one indices identity (the symbolic-reuse
-        # cache key) and the pattern's memory.
-        for matrix in self._matrices:
-            matrix.indices = pattern.indices
-            matrix.indptr = pattern.indptr
 
     def assemble(
         self,
@@ -333,11 +333,7 @@ class BlockAssemblyWorkspace:
             )
         scatter = self._scatter
         scatter.fill(0.0)
-        np.add.at(scatter, pattern.g_map, g_vals)
-        if alpha0 != 0.0 and c_vals.size:
-            np.add.at(scatter, pattern.c_map, alpha0 * c_vals)
-        if diag_shift:
-            np.add.at(scatter, pattern.diag_map, diag_shift)
+        pattern.scatter(scatter, g_vals, c_vals, alpha0, diag_shift)
         for k, data in enumerate(self._datas):
             np.copyto(data, scatter[: pattern.nnz, k])
         return self._matrices

@@ -28,10 +28,17 @@ from repro.mna.pattern import PatternBuilder
 
 
 class MnaSystem:
-    """Evaluation facade over a compiled circuit."""
+    """Evaluation facade over a compiled circuit.
 
-    def __init__(self, compiled: CompiledCircuit):
+    *sims* is the variant axis: ``None`` for one circuit with 1-D state,
+    K for an :class:`~repro.mna.ensemble.EnsembleSystem` whose state and
+    buffers gain a trailing ``(..., K)`` axis. It is the one observable
+    the transient engine selects its Newton kernel from.
+    """
+
+    def __init__(self, compiled: CompiledCircuit, sims: int | None = None):
         self.compiled = compiled
+        self.sims = sims
         self.n = compiled.n
         self.options = compiled.options
         builder = PatternBuilder(self.n)
@@ -43,19 +50,15 @@ class MnaSystem:
         self.gshunt = compiled.options.gmin
         self.voltage_mask = compiled.voltage_mask
         self.unknown_names = compiled.unknown_names
+        #: True when any bank is nonlinear. Newton on a purely linear
+        #: system converges in one exact step, so update damping is
+        #: skipped entirely.
+        self.has_nonlinear = any(bank.nonlinear for bank in compiled.banks)
+        #: Trailing axis of every state/buffer array: ``()`` on the scalar
+        #: path, ``(K,)`` for an ensemble (see :mod:`repro.devices.base`).
+        self._tail = () if sims is None else (sims,)
+        self._padded_shape = (self.n + 1, *self._tail)
         self._static_base: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def has_nonlinear(self) -> bool:
-        """True when any bank is nonlinear (diode / MOSFET / BJT).
-
-        Newton on a purely linear system converges in one exact step, so
-        update damping and junction limiting are skipped entirely.
-        """
-        return any(
-            type(bank).__name__ in ("DiodeBank", "MosfetBank", "BjtBank")
-            for bank in self.compiled.banks
-        )
 
     def make_buffers(self, fast_path: bool = False) -> EvalOutputs:
         """Fresh evaluation buffers (one set per concurrent task).
@@ -67,18 +70,24 @@ class MnaSystem:
         in-place Jacobian assembly. Each call returns fresh buffers and
         a fresh workspace, so concurrent tasks still share nothing
         mutable — the baselines are shared but read-only.
+
+        Ensemble buffers carry a (block) workspace unconditionally: plain
+        :meth:`~repro.mna.pattern.JacobianPattern.assemble` cannot build
+        K matrices. Assembly order is the same either way, so K=1 stays
+        bit-identical with *fast_path* on or off.
         """
-        out = EvalOutputs(self.n, self._n_g_slots, self._n_c_slots)
+        out = EvalOutputs(self.n, self._n_g_slots, self._n_c_slots, sims=self.sims)
         if fast_path:
             out.enable_static_stamps(*self._static_baselines())
-            out.workspace = self.pattern.workspace()
+        if fast_path or self.sims is not None:
+            out.workspace = self.pattern.workspace(self.sims)
         return out
 
     def _static_baselines(self) -> tuple[np.ndarray, np.ndarray]:
         """Constant-stamp slot arrays, built once on first fast-path use."""
         if self._static_base is None:
-            g = np.zeros(self._n_g_slots)
-            c = np.zeros(self._n_c_slots)
+            g = np.zeros((self._n_g_slots, *self._tail))
+            c = np.zeros((self._n_c_slots, *self._tail))
             for bank in self.compiled.banks:
                 bank.write_static_stamps(g, c)
             self._static_base = (g, c)
@@ -86,7 +95,7 @@ class MnaSystem:
 
     def pad(self, x: np.ndarray) -> np.ndarray:
         """Append the ground/trash slot (value 0) to a solution vector."""
-        x_full = np.zeros(self.n + 1)
+        x_full = np.zeros(self._padded_shape)
         x_full[: self.n] = x
         return x_full
 

@@ -37,7 +37,6 @@ class OperatingPoint:
     work_units: float
     strategy: str
     lu_factors: int = 0
-    lu_refactors: int = 0
     lu_solves: int = 0
     lu_reuse_hits: int = 0
 
@@ -75,7 +74,6 @@ def solve_operating_point(
             total_work,
             strategy,
             lu_factors=solver.factor_count,
-            lu_refactors=solver.refactor_count,
             lu_solves=solver.solve_count,
             lu_reuse_hits=solver.reuse_hits,
         )

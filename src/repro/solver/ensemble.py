@@ -18,64 +18,30 @@ residuals, same factors, same update, same convergence test — and the
 same work units, since the ensemble eval margin vanishes at K=1).
 
 Cost model: K variants share one vectorised device evaluation, so an
-ensemble iteration charges ``work_units_per_eval * (1 + (K-1) *
-ENSEMBLE_EVAL_MARGIN)`` instead of K full evaluations; each *active*
-variant then pays its own factorisation (or back-solve-only bypass)
-charge, identical per variant to the scalar model.
+ensemble iteration charges ``work_units_per_eval *``
+:func:`~repro.solver.newton.eval_factor` instead of K full evaluations;
+each *active* variant then pays its own factorisation (or
+back-solve-only bypass) charge, identical per variant to the scalar
+model.
+
+This module is the ensemble *kernel* only: the instrumented wrapper, the
+result type and the transient driver around it are the scalar path's
+(:func:`~repro.solver.newton.instrumented_solve`,
+:class:`~repro.solver.newton.NewtonResult`,
+:mod:`repro.engine.transient`), which selects this loop when the system
+carries a ``sims`` axis.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.devices.base import EvalOutputs
 from repro.errors import SingularMatrixError
-from repro.instrument.events import (
-    NEWTON_SOLVE,
-    OUTCOME_NEWTON_FAIL,
-    PHASE_ASSEMBLY,
-    PHASE_BACKSOLVE,
-    PHASE_DEVICE_EVAL,
-    PHASE_FACTOR,
-)
-from repro.instrument.recorder import get_recorder
 from repro.linalg.solve import BlockSolver
 from repro.mna.ensemble import EnsembleSystem
+from repro.solver.newton import NewtonResult, eval_factor, instrumented_solve
 from repro.utils.options import SimOptions
-
-#: Marginal cost of evaluating one extra ensemble variant, as a fraction
-#: of a full device evaluation. Vectorised banks amortise the Python
-#: dispatch and index gathers across variants; only the raw numpy
-#: arithmetic scales with K.
-ENSEMBLE_EVAL_MARGIN = 0.25
-
-
-@dataclass
-class EnsembleNewtonResult:
-    """Outcome of one lockstep ensemble Newton solve.
-
-    Mirrors :class:`~repro.solver.newton.NewtonResult` with per-variant
-    detail: *x* is ``(n, K)``, *converged* means every variant met the
-    SPICE delta-x criterion, and the ``lu_*`` counters sum over variants.
-    """
-
-    x: np.ndarray
-    converged: bool
-    iterations: int
-    residual_norm: float
-    work_units: float
-    converged_mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
-    residual_norms: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    q: np.ndarray | None = None
-    qdot: np.ndarray | None = None
-    failure: str = ""
-    lu_factors: int = 0
-    lu_refactors: int = 0
-    lu_solves: int = 0
-    lu_reuse_hits: int = 0
-    bypass_fallbacks: int = 0
 
 
 def ensemble_iteration_work(
@@ -89,10 +55,9 @@ def ensemble_iteration_work(
     nothing), matching :func:`repro.solver.newton.iteration_work` per
     variant.
     """
-    eval_factor = 1.0 + ENSEMBLE_EVAL_MARGIN * (system.sims - 1)
     nnz = system.pattern.nnz
     return (
-        system.work_units_per_eval * eval_factor
+        system.work_units_per_eval * eval_factor(system)
         + 0.05 * nnz * factored
         + 0.01 * nnz * bypassed
     )
@@ -108,88 +73,16 @@ def ensemble_newton_solve(
     out: EvalOutputs | None = None,
     solver: BlockSolver | None = None,
     iter_cap: int | None = None,
-) -> EnsembleNewtonResult:
+) -> NewtonResult:
     """Solve the discretised equations for all K variants at time *t*.
 
     Arguments mirror :func:`repro.solver.newton.newton_solve`; *x0* and
     *beta* carry the trailing variant axis (``beta`` may also be the
     scalar 0.0 for DC-style solves).
     """
-    opts = options or system.options
-    rec = opts.instrument if opts.instrument is not None else get_recorder()
-    if not rec.enabled:
-        return _ensemble_iterate(system, t, alpha0, beta, x0, opts, out, solver, iter_cap)
-    sid = rec.begin_span(NEWTON_SOLVE, t_sim=t, sims=system.sims)
-    t_start = rec.clock()
-    result = _ensemble_iterate(system, t, alpha0, beta, x0, opts, out, solver, iter_cap)
-    rec.count("newton.solves")
-    rec.count("newton.iterations", result.iterations)
-    rec.count("ensemble.solves")
-    rec.count("ensemble.variants_per_solve", system.sims)
-    if not result.converged:
-        rec.count("newton.failures")
-    if result.lu_factors:
-        rec.count("lu.factor", result.lu_factors)
-    if result.lu_refactors:
-        rec.count("lu.refactor", result.lu_refactors)
-    if result.lu_solves:
-        rec.count("lu.solve", result.lu_solves)
-    if result.lu_reuse_hits:
-        rec.count("lu.reuse_hit", result.lu_reuse_hits)
-    if result.bypass_fallbacks:
-        rec.count("newton.bypass_fallback", result.bypass_fallbacks)
-    rec.observe("newton.iterations_per_solve", result.iterations)
-    _emit_ensemble_phase_spans(rec, sid, t_start, system, result)
-    rec.end_span(
-        sid,
-        outcome="converged" if result.converged else OUTCOME_NEWTON_FAIL,
-        cost=result.work_units,
-        iterations=result.iterations,
-        converged=result.converged,
-        work_units=result.work_units,
-        failure=result.failure,
+    return instrumented_solve(
+        _ensemble_iterate, system, t, alpha0, beta, x0, options, out, solver, iter_cap
     )
-    return result
-
-
-def _emit_ensemble_phase_spans(rec, parent: int, t_start: float, system, result) -> None:
-    """Phase split of one ensemble solve (device_eval/assembly/factor/backsolve).
-
-    Same synthesized-from-work-units convention as the scalar solver's
-    phase lane; ``device_eval`` cost reflects the shared vectorised pass
-    (marginal rate per extra variant) and carries the per-class split.
-    """
-    nnz = system.pattern.nnz
-    factorisations = result.lu_factors + result.lu_refactors
-    eval_factor = 1.0 + ENSEMBLE_EVAL_MARGIN * (system.sims - 1)
-    eval_cost = result.iterations * system.work_units_per_eval * eval_factor
-    assembly_cost = 0.02 * nnz * factorisations
-    factor_cost = 0.02 * nnz * factorisations
-    backsolve_cost = 0.01 * nnz * result.lu_solves
-    phases = [
-        (PHASE_DEVICE_EVAL, eval_cost),
-        (PHASE_ASSEMBLY, assembly_cost),
-        (PHASE_FACTOR, factor_cost),
-        (PHASE_BACKSOLVE, backsolve_cost),
-    ]
-    total = sum(cost for _, cost in phases)
-    if total <= 0.0:
-        return
-    window = max(rec.clock() - t_start, 0.0)
-    compiled = getattr(system, "compiled", None)
-    cursor = t_start
-    for name, cost in phases:
-        if cost <= 0.0:
-            continue
-        dur = window * (cost / total)
-        extra = {}
-        if name == PHASE_DEVICE_EVAL and compiled is not None:
-            extra["classes"] = {
-                cls: result.iterations * units * eval_factor
-                for cls, units in compiled.eval_cost_by_class().items()
-            }
-        rec.emit_span(name, ts=cursor, dur=dur, parent=parent, cost=cost, **extra)
-        cursor += dur
 
 
 def _ensemble_iterate(
@@ -202,7 +95,7 @@ def _ensemble_iterate(
     out: EvalOutputs | None,
     solver: BlockSolver | None,
     iter_cap: int | None,
-) -> EnsembleNewtonResult:
+) -> NewtonResult:
     """The lockstep damped-Newton loop (instrumentation-free hot path)."""
     sims = system.sims
     n = system.n
@@ -213,7 +106,6 @@ def _ensemble_iterate(
     reuse = opts.jacobian_reuse
     key = (system.pattern, alpha0, system.gshunt) if reuse else None
     f0 = solver.factor_count
-    rf0 = solver.refactor_count
     s0 = solver.solve_count
     rh0 = solver.reuse_hits
     fallbacks = 0
@@ -224,13 +116,10 @@ def _ensemble_iterate(
 
     def finish(converged: bool, iterations: int, norms: np.ndarray, failure: str = ""):
         norm = float(norms.max()) if norms.size else 0.0
-        return EnsembleNewtonResult(
+        return NewtonResult(
             x, converged, iterations, norm, work,
-            converged_mask=converged_mask.copy(),
-            residual_norms=np.asarray(norms, dtype=float).copy(),
             failure=failure,
             lu_factors=solver.factor_count - f0,
-            lu_refactors=solver.refactor_count - rf0,
             lu_solves=solver.solve_count - s0,
             lu_reuse_hits=solver.reuse_hits - rh0,
             bypass_fallbacks=fallbacks,

@@ -36,9 +36,20 @@ from repro.linalg.solve import LinearSolver
 from repro.mna.system import MnaSystem
 from repro.utils.options import SimOptions
 
+#: Marginal cost of evaluating one extra ensemble variant, as a fraction
+#: of a full device evaluation. Vectorised banks amortise the Python
+#: dispatch and index gathers across variants; only the raw numpy
+#: arithmetic scales with K.
+ENSEMBLE_EVAL_MARGIN = 0.25
+
+
 @dataclass
 class NewtonResult:
-    """Outcome of one Newton solve.
+    """Outcome of one Newton solve (scalar or lockstep ensemble).
+
+    On an ensemble *x*, *q* and *qdot* are ``(n, K)``, *converged* means
+    every variant met the criterion, *residual_norm* is the worst
+    variant's and the ``lu_*`` counters sum over variants.
 
     Attributes:
         x: final iterate (meaningful even when unconverged — speculative
@@ -51,9 +62,8 @@ class NewtonResult:
             ``alpha0*q + beta`` (filled by the caller's integration layer
             when needed).
         failure: short reason string when not converged.
-        lu_factors / lu_refactors / lu_solves / lu_reuse_hits: linear
-            solver cost breakdown for this solve (fresh factorisations,
-            symbolic-reuse numeric refactorisations, back-solves, and
+        lu_factors / lu_solves / lu_reuse_hits: linear solver cost
+            breakdown for this solve (factorisations, back-solves, and
             back-solves against reused factors).
         bypass_fallbacks: times the Jacobian bypass was abandoned
             mid-solve (residual stall or singular stale factors).
@@ -68,7 +78,6 @@ class NewtonResult:
     qdot: np.ndarray | None = None
     failure: str = ""
     lu_factors: int = 0
-    lu_refactors: int = 0
     lu_solves: int = 0
     lu_reuse_hits: int = 0
     bypass_fallbacks: int = 0
@@ -85,6 +94,17 @@ def iteration_work(system: MnaSystem, bypassed: bool = False) -> float:
     """
     lu = 0.01 if bypassed else 0.05
     return system.work_units_per_eval + lu * system.pattern.nnz
+
+
+def eval_factor(system: MnaSystem) -> float:
+    """Device-evaluation cost of *system* relative to one scalar eval.
+
+    K variants share one vectorised evaluation, charged at the marginal
+    rate per extra variant; 1 on the scalar path and at K=1.
+    """
+    if system.sims is None:
+        return 1.0
+    return 1.0 + ENSEMBLE_EVAL_MARGIN * (system.sims - 1)
 
 
 def newton_solve(
@@ -107,21 +127,40 @@ def newton_solve(
             current iterate with ``converged=False`` and no error — used
             by WavePipe's speculative forward phase.
     """
+    return instrumented_solve(
+        _newton_iterate, system, t, alpha0, beta, x0, options, out, solver, iter_cap
+    )
+
+
+def instrumented_solve(
+    iterate, system, t, alpha0, beta, x0, options, out, solver, iter_cap
+) -> NewtonResult:
+    """Run the Newton kernel *iterate* under the run's recorder.
+
+    The one wrapper both kernels share: with tracing off it is a plain
+    call; with tracing on it brackets the solve in a ``newton_solve``
+    span, books the ``newton.*`` / ``lu.*`` counters and synthesizes the
+    phase child spans. An ensemble system additionally tags the span
+    with ``sims`` and books the ``ensemble.*`` counters.
+    """
     opts = options or system.options
     rec = opts.instrument if opts.instrument is not None else get_recorder()
     if not rec.enabled:
-        return _newton_iterate(system, t, alpha0, beta, x0, opts, out, solver, iter_cap)
-    sid = rec.begin_span(NEWTON_SOLVE, t_sim=t)
+        return iterate(system, t, alpha0, beta, x0, opts, out, solver, iter_cap)
+    sims = system.sims
+    tags = {} if sims is None else {"sims": sims}
+    sid = rec.begin_span(NEWTON_SOLVE, t_sim=t, **tags)
     t_start = rec.clock()  # after begin_span so phase children nest inside
-    result = _newton_iterate(system, t, alpha0, beta, x0, opts, out, solver, iter_cap)
+    result = iterate(system, t, alpha0, beta, x0, opts, out, solver, iter_cap)
     rec.count("newton.solves")
     rec.count("newton.iterations", result.iterations)
+    if sims is not None:
+        rec.count("ensemble.solves")
+        rec.count("ensemble.variants_per_solve", sims)
     if not result.converged:
         rec.count("newton.failures")
     if result.lu_factors:
         rec.count("lu.factor", result.lu_factors)
-    if result.lu_refactors:
-        rec.count("lu.refactor", result.lu_refactors)
     if result.lu_solves:
         rec.count("lu.solve", result.lu_solves)
     if result.lu_reuse_hits:
@@ -150,13 +189,15 @@ def _emit_phase_spans(rec, parent: int, t_start: float, system, result) -> None:
     ``cost`` attr is deterministic work units, while its wall interval
     is the parent's window divided proportionally — a drawing aid for
     Perfetto, not a measurement. ``device_eval`` additionally carries
-    the per-device-class attribution from the compiled circuit's banks.
+    the per-device-class attribution from the compiled circuit's banks;
+    on an ensemble both reflect the shared vectorised pass
+    (:func:`eval_factor`).
     """
     nnz = system.pattern.nnz
-    factorisations = result.lu_factors + result.lu_refactors
-    eval_cost = result.iterations * system.work_units_per_eval
-    assembly_cost = 0.02 * nnz * factorisations
-    factor_cost = 0.02 * nnz * factorisations
+    shared = eval_factor(system)
+    eval_cost = result.iterations * system.work_units_per_eval * shared
+    assembly_cost = 0.02 * nnz * result.lu_factors
+    factor_cost = 0.02 * nnz * result.lu_factors
     backsolve_cost = 0.01 * nnz * result.lu_solves
     phases = [
         (PHASE_DEVICE_EVAL, eval_cost),
@@ -168,17 +209,16 @@ def _emit_phase_spans(rec, parent: int, t_start: float, system, result) -> None:
     if total <= 0.0:
         return
     window = max(rec.clock() - t_start, 0.0)
-    compiled = getattr(system, "compiled", None)
     cursor = t_start
     for name, cost in phases:
         if cost <= 0.0:
             continue
         dur = window * (cost / total)
         extra = {}
-        if name == PHASE_DEVICE_EVAL and compiled is not None:
+        if name == PHASE_DEVICE_EVAL:
             extra["classes"] = {
-                cls: result.iterations * units
-                for cls, units in compiled.eval_cost_by_class().items()
+                cls: result.iterations * units * shared
+                for cls, units in system.compiled.eval_cost_by_class().items()
             }
         rec.emit_span(
             name, ts=cursor, dur=dur, parent=parent, cost=cost, **extra
@@ -210,7 +250,6 @@ def _newton_iterate(
     # mutates it). Reuse-off keeps key=None so matches() never fires.
     key = (system.pattern, alpha0, system.gshunt) if reuse else None
     f0 = solver.factor_count
-    rf0 = solver.refactor_count
     s0 = solver.solve_count
     rh0 = solver.reuse_hits
     fallbacks = 0
@@ -226,7 +265,6 @@ def _newton_iterate(
             x, converged, iterations, norm, work,
             failure=failure,
             lu_factors=solver.factor_count - f0,
-            lu_refactors=solver.refactor_count - rf0,
             lu_solves=solver.solve_count - s0,
             lu_reuse_hits=solver.reuse_hits - rh0,
             bypass_fallbacks=fallbacks,
@@ -308,7 +346,7 @@ def _newton_iterate(
         tol = opts.reltol * scale + abs_tol
         small = np.all(np.abs(x_new - x) <= tol)
         x = x_new
-        if small and not limited and iteration >= 1:
+        if small and not limited:
             return finish(True, iteration, residual_norm)
 
     failure = "" if iter_cap is not None else "iteration limit reached"

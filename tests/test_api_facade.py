@@ -1,8 +1,7 @@
-"""The unified ``simulate()`` facade: dispatch, validation, shims.
+"""The unified ``simulate()`` facade: dispatch and validation.
 
-``repro.simulate`` fronts all five analyses behind one signature; the
-historical entry points survive as :class:`DeprecationWarning` shims.
-These tests exercise every dispatch arm on tiny circuits, the
+``repro.simulate`` fronts all five analyses behind one signature. These
+tests exercise every dispatch arm on tiny circuits, the
 construction-time validation of :class:`AnalysisRequest`, and the
 delegation surface of :class:`AnalysisResult`.
 """
@@ -10,7 +9,6 @@ delegation surface of :class:`AnalysisResult`.
 import numpy as np
 import pytest
 
-import repro
 from repro import AnalysisRequest, AnalysisResult, simulate
 from repro.api import ANALYSES, run_request
 from repro.circuit.circuit import Circuit
@@ -130,36 +128,7 @@ class TestRequestValidation:
 
 
 class TestDeprecatedShims:
-    """Old entry points still work, flagged with DeprecationWarning."""
-
-    def test_run_transient_shim(self):
-        with pytest.deprecated_call(match="run_transient.*deprecated"):
-            result = repro.run_transient(_rc(), 8e-6)
-        assert result.waveforms.voltage("out").final_value() == pytest.approx(1.0, abs=1e-3)
-
-    def test_run_wavepipe_shim(self):
-        with pytest.deprecated_call(match="run_wavepipe.*deprecated"):
-            result = repro.run_wavepipe(_rc(), 8e-6, scheme="backward", threads=2)
-        assert result.stats.accepted_points > 0
-
-    def test_dc_sweep_shim(self, divider_circuit):
-        with pytest.deprecated_call(match="dc_sweep.*deprecated"):
-            result = repro.dc_sweep(divider_circuit, "V1", [0.0, 10.0])
-        assert result.curves.voltage("mid").values[-1] == pytest.approx(7.5)
-
-    def test_ac_analysis_shim(self):
-        with pytest.deprecated_call(match="ac_analysis.*deprecated"):
-            result = repro.ac_analysis(_rc(), "V1", np.logspace(3, 6, 10))
-        assert "v(out)" in result.transfer
-
-    def test_sweep_shim(self):
-        with pytest.deprecated_call(match="sweep.*deprecated"):
-            result = repro.sweep(
-                "R", [1e3],
-                metrics={"v": lambda r: r.waveforms.voltage("out").final_value()},
-                tstop=8e-6, circuit_factory=_rc,
-            )
-        assert result.column("v")[0] == pytest.approx(1.0, abs=1e-3)
+    """The facade itself never warns; the old ``repro.run_*`` shims are gone."""
 
     def test_simulate_emits_no_warning(self):
         import warnings
@@ -168,76 +137,12 @@ class TestDeprecatedShims:
             warnings.simplefilter("error", DeprecationWarning)
             simulate(_rc(), analysis="transient", tstop=2e-6)
 
+    def test_shim_names_are_gone(self):
+        import repro
 
-def _single_deprecation(func, *args, **kwargs):
-    """Call *func*, asserting it emits exactly one DeprecationWarning."""
-    import warnings
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = func(*args, **kwargs)
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1, (
-        f"{func.__name__} emitted {len(deprecations)} DeprecationWarnings, expected 1"
-    )
-    return result
-
-
-def _assert_same_waveforms(a, b):
-    np.testing.assert_array_equal(a.times, b.times)
-    assert a.names == b.names
-    for name in a.names:
-        np.testing.assert_array_equal(a[name].values, b[name].values)
-
-
-class TestShimFacadeParity:
-    """Each legacy entry point warns exactly once and returns a result
-    identical to the simulate() facade (same engines, same numbers)."""
-
-    def test_run_transient(self):
-        shim = _single_deprecation(repro.run_transient, _rc(), 8e-6)
-        facade = simulate(_rc(), analysis="transient", tstop=8e-6)
-        _assert_same_waveforms(shim.waveforms, facade.waveforms)
-        assert shim.stats.accepted_points == facade.stats.accepted_points
-
-    def test_run_wavepipe(self):
-        shim = _single_deprecation(
-            repro.run_wavepipe, _rc(), 8e-6, scheme="combined", threads=3
-        )
-        facade = simulate(
-            _rc(), analysis="wavepipe", tstop=8e-6, scheme="combined", threads=3
-        )
-        _assert_same_waveforms(shim.waveforms, facade.waveforms)
-        assert shim.stats.accepted_points == facade.stats.accepted_points
-
-    def test_dc_sweep(self, divider_circuit):
-        values = np.linspace(0.0, 10.0, 11)
-        shim = _single_deprecation(repro.dc_sweep, divider_circuit, "V1", values)
-        facade = simulate(divider_circuit, analysis="dc", source="V1", values=values)
-        for name in shim.curves.names:
-            np.testing.assert_array_equal(
-                shim.curves[name].values, facade.curves[name].values
-            )
-
-    def test_ac_analysis(self):
-        freqs = np.logspace(3, 6, 7)
-        shim = _single_deprecation(repro.ac_analysis, _rc(), "V1", freqs)
-        facade = simulate(_rc(), analysis="ac", source="V1", freqs=freqs)
-        assert set(shim.transfer) == set(facade.transfer)
-        for name in shim.transfer:
-            np.testing.assert_array_equal(shim.transfer[name], facade.transfer[name])
-
-    def test_sweep(self):
-        metrics = {"v": lambda r: r.waveforms.voltage("out").final_value()}
-        shim = _single_deprecation(
-            repro.sweep, "R", [0.5e3, 2e3], metrics,
-            tstop=8e-6, circuit_factory=_rc,
-        )
-        facade = simulate(
-            analysis="sweep", parameter="R", values=[0.5e3, 2e3],
-            metrics=metrics, tstop=8e-6, circuit_factory=_rc,
-        )
-        np.testing.assert_array_equal(shim.column("v"), facade.column("v"))
+        for name in ("run_transient", "run_wavepipe", "dc_sweep", "ac_analysis", "sweep"):
+            assert not hasattr(repro, name), name
+            assert name not in repro.__all__
 
 
 class TestAnalysisResultSurface:

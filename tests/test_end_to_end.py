@@ -7,10 +7,8 @@ from repro import (
     SimOptions,
     compare_with_sequential,
     parse_netlist,
-    run_transient,
-    run_wavepipe,
+    simulate,
 )
-from repro.analysis.ac import ac_analysis
 
 AMPLIFIER_DECK = """Common-emitter amplifier
 .model qfast npn is=1e-15 bf=150 vaf=80 cje=1p cjc=0.5p tf=50p
@@ -69,15 +67,15 @@ class TestAmplifierFlow:
         assert 2.0 < vc < 8.5  # collector in the active region
 
     def test_amplifies(self, netlist):
-        result = run_transient(netlist.circuit, netlist.tran.tstop)
+        result = simulate(netlist.circuit, tstop=netlist.tran.tstop)
         vout = result.waveforms.voltage("c").slice(1e-6, 4e-6)
         gain = vout.peak_to_peak() / 20e-3
         assert gain > 10.0  # CE stage with bypassed emitter
 
     def test_ac_gain_consistent_with_transient(self, netlist):
-        result = run_transient(netlist.circuit, netlist.tran.tstop)
+        result = simulate(netlist.circuit, tstop=netlist.tran.tstop)
         tran_gain = result.waveforms.voltage("c").slice(1e-6, 4e-6).peak_to_peak() / 20e-3
-        ac = ac_analysis(netlist.circuit, "VIN", [1e6])
+        ac = simulate(netlist.circuit, analysis="ac", source="VIN", freqs=[1e6])
         ac_gain = ac.magnitude("v(c)")[0]
         assert tran_gain == pytest.approx(ac_gain, rel=0.25)
 
@@ -93,9 +91,10 @@ class TestAmplifierFlow:
 class TestSubcircuitFlow:
     def test_full_flow(self):
         netlist = parse_netlist(SUBCKT_DECK)
-        result = run_wavepipe(
+        result = simulate(
             netlist.circuit,
-            netlist.tran.tstop,
+            analysis="wavepipe",
+            tstop=netlist.tran.tstop,
             scheme="backward",
             threads=2,
             tstep=netlist.tran.tstep,
@@ -107,7 +106,7 @@ class TestSubcircuitFlow:
 
     def test_hierarchical_nodes_recorded(self):
         netlist = parse_netlist(SUBCKT_DECK)
-        result = run_transient(netlist.circuit, 5e-9)
+        result = simulate(netlist.circuit, tstop=5e-9)
         assert "v(b)" in result.waveforms.names
 
 
@@ -123,18 +122,19 @@ C1 b 0 1p
 """
         netlist = parse_netlist(deck)
         assert netlist.options.method == "be"
-        loose = run_transient(netlist.circuit, 20e-9, options=netlist.options)
-        tight = run_transient(
-            netlist.circuit, 20e-9, options=netlist.options.replace(reltol=1e-5)
+        loose = simulate(netlist.circuit, tstop=20e-9, options=netlist.options)
+        tight = simulate(
+            netlist.circuit, tstop=20e-9, options=netlist.options.replace(reltol=1e-5)
         )
         assert loose.stats.accepted_points < tight.stats.accepted_points
 
     def test_gear2_full_run(self):
         netlist = parse_netlist(SUBCKT_DECK)
         options = SimOptions(method="gear2")
-        seq = run_transient(netlist.circuit, 20e-9, options=options)
-        pipe = run_wavepipe(
-            netlist.circuit, 20e-9, scheme="combined", threads=3, options=options
+        seq = simulate(netlist.circuit, tstop=20e-9, options=options)
+        pipe = simulate(
+            netlist.circuit, analysis="wavepipe", tstop=20e-9,
+            scheme="combined", threads=3, options=options,
         )
         for name in ("v(b)", "v(c)"):
             e_seq = seq.waveforms[name].crossings(1.5)

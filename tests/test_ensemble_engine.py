@@ -6,6 +6,9 @@ Two guarantees back the ensemble mode's accuracy story:
   sequential transient run bit for bit — same accepted time grid, same
   waveform samples — with Jacobian reuse on *and* off. Any drift here
   means the trailing sims axis re-ordered floating-point arithmetic.
+  Both run the one time loop and the one instrumented Newton wrapper, so
+  K=1 must also book the same cost statistics and emit the same span
+  tree and counters, ``sims`` tags and ``ensemble.*`` channels aside.
 * **K>1 stays on the tolerance ladder.** For every verify circuit
   family, a seeded jittered ensemble must keep each variant within the
   ``loose`` (1e-3) rung of its own standalone sequential run, despite
@@ -74,6 +77,66 @@ def test_k1_bit_identical_with_uic():
         [gen.circuit], gen.tstop, options=options, uic=True
     )
     assert_bit_identical(ens, seq)
+
+
+#: TransientStats fields that are counts or virtual work (not wall time).
+COST_FIELDS = (
+    "accepted_points", "rejected_points", "newton_failures", "newton_iterations",
+    "work_units", "dc_work_units", "lu_factors", "lu_solves", "lu_reuse_hits",
+    "bypass_fallbacks",
+)
+
+
+def _trace(rec):
+    """(spans, counters, histograms) of a run, minus what K=1 may add."""
+    from repro.instrument.spans import build_span_tree
+
+    tree = build_span_tree(rec.events)
+    assert tree.problems == []
+    spans = [
+        (node.path, node.outcome, node.cost, node.attrs.get("classes"))
+        for node in tree.walk()
+    ]
+    snap = rec.snapshot()
+    shared = {
+        kind: {k: v for k, v in snap[kind].items() if not k.startswith("ensemble.")}
+        for kind in ("counters", "histograms")
+    }
+    return spans, shared["counters"], shared["histograms"], tree
+
+
+@pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "no-reuse"])
+@pytest.mark.parametrize("seed", [11, 42])
+def test_k1_books_the_same_stats_spans_and_counters(seed, reuse):
+    from repro.instrument import Recorder
+
+    gen = draw_circuit(seed)
+    options = SimOptions(jacobian_reuse=reuse)
+    seq_rec, ens_rec = Recorder(), Recorder()
+    seq = simulate(
+        gen.circuit, analysis="transient", tstop=gen.tstop, options=options,
+        instrument=seq_rec,
+    )
+    ens = run_ensemble_transient(
+        [gen.circuit], gen.tstop, options=options, instrument=ens_rec
+    )
+    for name in COST_FIELDS:
+        assert getattr(ens.stats, name) == getattr(seq.stats, name), name
+
+    seq_spans, seq_counters, seq_hists, seq_tree = _trace(seq_rec)
+    ens_spans, ens_counters, ens_hists, ens_tree = _trace(ens_rec)
+    assert ens_spans == seq_spans
+    assert ens_counters == seq_counters
+    assert ens_hists == seq_hists
+
+    # the allowed differences, and nothing else
+    (seq_run,), (ens_run,) = seq_tree.roots, ens_tree.roots
+    assert (seq_run.attrs["kind"], ens_run.attrs["kind"]) == ("sequential", "ensemble")
+    tagged = {n.name for n in ens_tree.walk() if n.attrs.get("sims") == 1}
+    assert tagged == {"run", "timestep", "newton_solve"}
+    assert not any("sims" in n.attrs for n in seq_tree.walk())
+    extra = set(ens_rec.counters) - set(seq_rec.counters)
+    assert extra and all(name.startswith("ensemble.") for name in extra)
 
 
 def jittered_variants(circuit, k, seed=5, jitter=0.02):

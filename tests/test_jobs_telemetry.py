@@ -57,7 +57,6 @@ def solver_rollup(metrics) -> dict:
         "newton_iterations": metrics.newton_iterations,
         "work_units": metrics.work_units,
         "lu_factors": metrics.lu_factors,
-        "lu_refactors": metrics.lu_refactors,
         "lu_solves": metrics.lu_solves,
         "lu_reuse_hits": metrics.lu_reuse_hits,
         "bypass_fallbacks": metrics.bypass_fallbacks,

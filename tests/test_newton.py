@@ -103,6 +103,30 @@ class TestControls:
         result = newton_solve(system, 0.0, 0.0, 0.0, np.zeros(system.n), options)
         assert result.converged
 
+    def test_renamed_nonlinear_bank_is_still_damped(self, diode_circuit):
+        # Damping keys on the bank's `nonlinear` flag, not its class name:
+        # a DiodeBank subclass under another name must walk the same
+        # voltage-limited Newton path as DiodeBank itself.
+        from repro.devices.diode import DiodeBank
+
+        class JunctionBank(DiodeBank):
+            pass
+
+        options = SimOptions(voltage_limit=0.5)
+        reference = newton_solve(
+            make_system(diode_circuit), 0.0, 0.0, 0.0, np.zeros(3), options
+        )
+        compiled = compile_circuit(diode_circuit)
+        for bank in compiled.banks:
+            if type(bank) is DiodeBank:
+                bank.__class__ = JunctionBank
+        system = MnaSystem(compiled)
+        assert system.has_nonlinear
+        renamed = newton_solve(system, 0.0, 0.0, 0.0, np.zeros(system.n), options)
+        assert renamed.converged
+        assert renamed.iterations == reference.iterations
+        assert np.array_equal(renamed.x, reference.x)
+
     def test_transient_alpha0_term(self, rc_circuit):
         # With alpha0 large (tiny step), the capacitor holds its voltage:
         # solving at t just after the step with q history from v(out)=0
