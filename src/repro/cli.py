@@ -436,6 +436,8 @@ def main(argv: list[str] | None = None) -> int:
         return _run_submit(argv[1:])
     if argv[:1] == ["trace"]:
         return _run_trace(argv[1:])
+    if argv[:1] == ["queue"]:
+        return _run_queue(argv[1:])
     if argv[:1] == ["loadgen"]:
         return _run_loadgen(argv[1:])
     args = build_parser().parse_args(argv)
@@ -923,6 +925,39 @@ def _run_trace(argv: list[str]) -> int:
         print(f"* trace written to {args.out} ({lines} record(s))")
     else:
         print(body, end="")
+    return 0
+
+
+def build_queue_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro queue",
+        description="Print a queue directory's store (queue.db) as sorted, "
+        "indented JSON: schema version, per-status counts, every job entry "
+        "and every campaign record",
+    )
+    parser.add_argument("root", metavar="DIR", help="queue directory")
+    return parser
+
+
+def _run_queue(argv: list[str]) -> int:
+    import contextlib
+    import json as json_module
+
+    from repro.service.queue import QUEUE_VERSION, JobQueue
+
+    args = build_queue_parser().parse_args(argv)
+    try:
+        with contextlib.closing(JobQueue(args.root)) as queue:
+            dump = {
+                "version": QUEUE_VERSION,
+                "counts": queue.counts(),
+                "jobs": queue.entries(),
+                "campaigns": queue.campaigns(),
+            }
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(json_module.dumps(dump, sort_keys=True, indent=2))
     return 0
 
 

@@ -82,7 +82,7 @@ WTM_PARTITION = "wtm_partition"
 
 #: Synthesized service-tier spans. These are *stitched* rather than
 #: recorded live: :func:`repro.service.trace.build_campaign_trace` builds
-#: them from queue-manifest timestamps and per-node trace records, so a
+#: them from queue-entry timestamps and per-node trace records, so a
 #: single tree spans every process and farm node a campaign touched.
 #: One submitting request (one trace id) — the root of a service trace.
 SERVICE_REQUEST = "service_request"

@@ -11,7 +11,7 @@ the tenant, and the submit origin — serialised three ways:
   (``00-<trace_id>-<span_id>-01``) plus ``X-Trace-Origin``, so any
   OpenTelemetry-speaking proxy in front of the service keeps the ids.
 * **queue records** — :meth:`to_dict` / :meth:`from_dict`, persisted in
-  the ``queue.json`` manifest so a context outlives the process (and the
+  the queue store's entries so a context outlives the process (and the
   node) that minted it.
 * **ambient contextvar** — :func:`use_trace` / :func:`current_trace`,
   the in-process hand-off between layers that do not share signatures.
@@ -165,7 +165,7 @@ class TraceContext:
     def from_dict(cls, data) -> "TraceContext | None":
         """Rebuild from :meth:`to_dict` output; None for anything invalid.
 
-        Queue manifests outlive code revisions, so a record written by a
+        Queue stores outlive code revisions, so a record written by a
         different version (or by hand) must degrade to "untraced", never
         raise.
         """

@@ -2,7 +2,7 @@
 run it through a :class:`~repro.jobs.scheduler.JobScheduler`, settle it.
 
 A node is one OS process (or thread) in a horizontally sharded farm. Any
-number of nodes point at the same queue directory; the flock-guarded
+number of nodes point at the same queue directory; the write-locked
 queue transactions partition the pending work between them, and the
 shared :class:`~repro.jobs.cache.ResultCache` under ``<root>/results``
 dedups the physics — a node claiming a spec another tenant already paid
@@ -222,6 +222,7 @@ class FarmNode:
 
     def close(self) -> None:
         self.scheduler.close()
+        self.queue.close()
 
     def __enter__(self) -> "FarmNode":
         return self

@@ -71,6 +71,11 @@ GENERATOR_KINDS = ("monte_carlo", "pvt_corners", "param_sweep", "single", "ensem
 #: Default tick of the campaign heartbeat stream, seconds.
 STREAM_INTERVAL = 0.5
 
+#: Largest request body read, bytes. The biggest legitimate body is a
+#: deck of a few KB inside a spec; a larger ``Content-Length`` is refused
+#: with 413 before a byte of it is read.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
 # tenant_counter / _TENANT_SAFE used to live here; they moved to
 # repro.instrument.telemetry (the farm nodes meter per-tenant channels
 # too, and instrument must not import the service layer). Re-exported
@@ -249,6 +254,10 @@ class ServiceServer:
     def start(self) -> "ServiceServer":
         if self._httpd is not None:
             return self
+        # Touch the store before binding: a root this version cannot
+        # serve (a v1 manifest, a foreign schema) fails the start, not
+        # every request.
+        self.queue.counts()
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer(
             (self.host, self._requested_port), handler
@@ -299,6 +308,7 @@ class ServiceServer:
             httpd.server_close()
         if thread is not None:
             thread.join()
+        self.queue.close()
         with self._request_log_lock:
             handle, self._request_log_handle = self._request_log_handle, None
             if handle is not None:
@@ -342,8 +352,8 @@ class ServiceServer:
             "status": receipt.status,
             "created": receipt.created,
             "deduped": receipt.deduped,
-            "queue_depth": self.queue.depth(),
-            "tenant_depth": self.queue.depth(tenant),
+            "queue_depth": receipt.queue_depth,
+            "tenant_depth": receipt.tenant_depth,
         }
         if trace is not None:
             out["trace_id"] = trace.trace_id
@@ -383,8 +393,8 @@ class ServiceServer:
             "jobs": [r.spec_hash for r in receipts],
             "submitted": created,
             "deduped": deduped,
-            "queue_depth": self.queue.depth(),
-            "tenant_depth": self.queue.depth(tenant),
+            "queue_depth": receipts[0].queue_depth,
+            "tenant_depth": receipts[0].tenant_depth,
         }
         if trace is not None:
             out["trace_id"] = trace.trace_id
@@ -442,6 +452,14 @@ _GET_ROUTES = [
 #: stream stays open for the campaign's whole life, so folding it into
 #: ``service.request_duration`` would swamp the API-latency signal.
 _UNMETERED_DURATION = frozenset({"campaign_stream"})
+
+
+class _RequestError(Exception):
+    """A request refused before it reached the queue (status + message)."""
+
+    def __init__(self, status: int, message: str):
+        self.status = status
+        super().__init__(message)
 
 
 def _make_handler(server: ServiceServer):
@@ -510,13 +528,30 @@ def _make_handler(server: ServiceServer):
             return str(tenant)
 
         def _read_body(self) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length")
+            try:
+                length = int(header or 0)
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise _RequestError(400, f"bad Content-Length {header!r}")
+            if length > MAX_BODY_BYTES:
+                raise _RequestError(
+                    413,
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit",
+                )
             raw = self.rfile.read(length) if length else b""
             if not raw:
                 return {}
-            payload = json.loads(raw)
+            try:
+                payload = json.loads(raw)
+            except ValueError as exc:
+                raise _RequestError(400, f"bad request body: {exc}") from None
             if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
+                raise _RequestError(
+                    400, "bad request body: request body must be a JSON object"
+                )
             return payload
 
         def _query(self) -> tuple[str, dict]:
@@ -548,8 +583,13 @@ def _make_handler(server: ServiceServer):
             try:
                 try:
                     payload = self._read_body()
-                except ValueError as exc:
-                    self._send_json(400, {"error": f"bad request body: {exc}"})
+                except _RequestError as exc:
+                    # The body may be unread, so the connection cannot
+                    # carry another request.
+                    self._send_json(
+                        exc.status, {"error": str(exc)},
+                        headers={"Connection": "close"},
+                    )
                     return
                 tenant = self._tenant(payload)
                 # Ingress minting: honour a propagated W3C traceparent
@@ -575,7 +615,7 @@ def _make_handler(server: ServiceServer):
                         },
                         headers={
                             "Retry-After": "1",
-                            "X-Queue-Depth": str(server.queue.depth()),
+                            "X-Queue-Depth": str(exc.queue_depth),
                             "X-Tenant-Queue-Depth": str(exc.depth),
                         },
                     )

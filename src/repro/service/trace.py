@@ -11,7 +11,7 @@ Two halves:
   inside — ``<root>/results/``, whose bytes must stay identical no
   matter who asked or which node answered.
 * :func:`build_campaign_trace` — the stitcher. It reads the queue
-  manifest plus the per-job records and synthesizes one span tree per
+  entries plus the per-job records and synthesizes one span tree per
   campaign: a ``service_request`` root per originating trace id, a
   ``service_job`` per queue entry, and ``queue_wait`` / ``service_solve``
   / ``result_upload`` children whose costs are wall-clock **seconds**
@@ -108,7 +108,7 @@ def _tail_extent(telemetry: dict | None) -> float:
 
 def _job_geometry(entry: dict, record: dict | None, t0: float) -> dict | None:
     """Relative span intervals for one queue entry, or None when the job
-    has no usable timestamps at all (legacy manifest rows)."""
+    has no usable timestamps at all (legacy entries)."""
     enqueued = entry.get("enqueued")
     claimed = (record or {}).get("claimed", entry.get("claimed"))
     settled = (record or {}).get("settled", entry.get("settled"))

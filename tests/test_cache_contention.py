@@ -18,6 +18,7 @@ from repro.jobs.spec import CircuitRef, JobSpec
 from repro.jobs.workers import execute_job
 from repro.service.node import RESULTS_DIR, FarmNode
 from repro.service.queue import JobQueue
+from tests.test_service_farm import discard_queue_store
 
 DECK = """rc lowpass
 V1 in 0 SIN(0 1 1k)
@@ -128,7 +129,8 @@ class TestCorruptEntryEviction:
         # resubmitting a done job dedups, so start a fresh queue over the
         # same (corrupted) cache; the node evicts the torn entry, reruns,
         # and republishes identical bytes
-        (root / "queue.json").unlink()
+        queue.close()
+        discard_queue_store(root)
         JobQueue(root).submit(spec)
         FarmNode(root, node_id="beta").run(drain=True)
         assert path.read_bytes() == clean

@@ -50,6 +50,17 @@ def submit_campaign(root, n=4, seed=7) -> tuple[str, list[str]]:
     return cid, [r.spec_hash for r in receipts]
 
 
+def discard_queue_store(root) -> None:
+    """Delete a farm's queue store (db + WAL sidecars), keeping its cache.
+
+    Close every handle on the store first: sqlite removes a WAL file by
+    name when its last connection closes.
+    """
+    path = JobQueue(root).path
+    for suffix in ("", "-wal", "-shm"):
+        Path(f"{path}{suffix}").unlink(missing_ok=True)
+
+
 def result_bytes(root) -> dict[str, bytes]:
     results = Path(root) / RESULTS_DIR
     return {p.name: p.read_bytes() for p in sorted(results.glob("*.json"))}
@@ -98,7 +109,7 @@ class TestTwoNodeFarm:
         # a brand-new queue over the same cache directory: the second node
         # claims every job but settles them all straight from the shared
         # result cache instead of resimulating
-        (root / "queue.json").unlink()
+        discard_queue_store(root)
         cid2, _ = submit_campaign(root, n=3)
         assert cid2 == cid
         rec = Recorder(capture_events=False)

@@ -7,6 +7,7 @@ results run a FarmNode step inline against the same queue directory.
 
 import http.client
 import json
+import time
 
 import pytest
 
@@ -14,7 +15,12 @@ from repro.instrument.recorder import Recorder
 from repro.jobs.spec import CircuitRef, JobSpec
 from repro.service.client import Backpressure, ServiceClient, ServiceError
 from repro.service.node import FarmNode
-from repro.service.server import ServiceServer, build_campaign, spec_from_payload
+from repro.service.server import (
+    MAX_BODY_BYTES,
+    ServiceServer,
+    build_campaign,
+    spec_from_payload,
+)
 
 DECK = """rc lowpass
 V1 in 0 SIN(0 1 1k)
@@ -119,6 +125,88 @@ class TestSubmitEndpoints:
         with pytest.raises(ServiceError) as err:
             client.submit_campaign(rc_spec(), {"kind": "quantum"})
         assert err.value.status == 400
+
+
+class TestSubmitReplyDepths:
+    """A submit reply reports the depths its own transaction committed,
+    even when a node settles work between that commit and the reply."""
+
+    @staticmethod
+    def settle_one_after(server, monkeypatch, name):
+        real = getattr(server.queue, name)
+
+        def submit_then_settle(*args, **kwargs):
+            out = real(*args, **kwargs)
+            [job] = server.queue.claim("racer")
+            server.queue.complete(job.spec_hash, "racer")
+            return out
+
+        monkeypatch.setattr(server.queue, name, submit_then_settle)
+
+    def test_job_reply(self, server, client, monkeypatch):
+        server.queue.submit(variant(9), tenant="other")
+        self.settle_one_after(server, monkeypatch, "submit")
+        receipt = client.submit_job(variant(0))
+        assert (receipt["queue_depth"], receipt["tenant_depth"]) == (2, 1)
+        assert server.queue.depth() == 1  # the racer really did settle one
+
+    def test_campaign_reply(self, server, client, monkeypatch):
+        server.queue.submit(variant(9), tenant="other")
+        self.settle_one_after(server, monkeypatch, "submit_campaign")
+        receipt = client.submit_campaign(
+            rc_spec(), {"kind": "monte_carlo", "n": 3, "seed": 5}
+        )
+        assert (receipt["queue_depth"], receipt["tenant_depth"]) == (4, 3)
+        assert server.queue.depth() == 3
+
+
+class TestRequestBodyBound:
+    @staticmethod
+    def post(server, content_length, tenant):
+        """POST /jobs with a raw Content-Length header and no body."""
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=5)
+        conn.putrequest("POST", "/jobs")
+        conn.putheader("X-Tenant", tenant)
+        if content_length is not None:
+            conn.putheader("Content-Length", content_length)
+        conn.endheaders()
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        conn.close()
+        return response, payload
+
+    @staticmethod
+    def tenant_errors(server, tenant) -> int:
+        # the handler meters a request after it has sent the reply
+        deadline = time.monotonic() + 5
+        name = f"service.tenant.{tenant}.errors"
+        while time.monotonic() < deadline:
+            count = server.recorder.snapshot()["counters"].get(name, 0)
+            if count:
+                return count
+            time.sleep(0.01)
+        return 0
+
+    def test_oversize_body_is_413_and_never_read(self, server):
+        response, payload = self.post(server, str(MAX_BODY_BYTES + 1), "big")
+        assert response.status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        assert response.getheader("Connection") == "close"
+        assert self.tenant_errors(server, "big") == 1
+        assert server.queue.counts() == {}
+
+    @pytest.mark.parametrize("header", ["-1", "lots", "1e3"])
+    def test_bad_content_length_is_400(self, server, header):
+        response, payload = self.post(server, header, "odd")
+        assert response.status == 400
+        assert "Content-Length" in payload["error"]
+        assert self.tenant_errors(server, "odd") == 1
+
+    def test_missing_content_length_is_an_empty_body(self, server):
+        response, payload = self.post(server, None, "none")
+        assert response.status == 400
+        assert "spec" in payload["error"]
+        assert self.tenant_errors(server, "none") == 1
 
 
 class TestBackpressure:

@@ -6,10 +6,17 @@ the manifest from disk through fresh JobQueue handles to prove the queue
 has no hidden in-memory state a node restart would lose.
 """
 
+import contextlib
 import json
+import sqlite3
+import statistics
+import sys
+import threading
+import time
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.errors import SimulationError
 from repro.jobs.spec import CircuitRef, JobSpec
 from repro.service.queue import (
@@ -89,11 +96,27 @@ class TestSubmit:
         assert status["status"] == "pending"
         assert status["attempts"] == 0 and status["error"] is None
 
-    def test_manifest_is_plain_json_on_disk(self, queue):
-        queue.submit(rc_spec())
-        state = json.loads(queue.path.read_text())
-        assert state["version"] == 1
-        assert len(state["jobs"]) == 1
+    def test_store_is_a_stdlib_readable_sqlite_file(self, queue):
+        receipt = queue.submit(rc_spec())
+        with contextlib.closing(sqlite3.connect(queue.path)) as db:
+            assert db.execute("SELECT version FROM meta").fetchall() == [(2,)]
+            [(spec_hash, body)] = db.execute("SELECT hash, body FROM jobs")
+        assert spec_hash == receipt.spec_hash
+        assert json.loads(body) == queue.entries()[spec_hash]
+
+    def test_receipt_depths_are_what_the_transaction_left(self, queue):
+        first = queue.submit(rc_spec(params={"R1": 1.0e3}), tenant="a")
+        assert (first.queue_depth, first.tenant_depth) == (1, 1)
+        other = queue.submit(rc_spec(params={"R1": 1.1e3}), tenant="b")
+        assert (other.queue_depth, other.tenant_depth) == (2, 1)
+        joined = queue.submit(rc_spec(params={"R1": 1.0e3}), tenant="b")
+        assert joined.deduped
+        assert (joined.queue_depth, joined.tenant_depth) == (2, 2)
+        queue.claim("n1", limit=2)
+        queue.complete(first.spec_hash, "n1")
+        again = queue.submit(rc_spec(params={"R1": 1.0e3}), tenant="a")
+        assert again.status == "done"
+        assert (again.queue_depth, again.tenant_depth) == (1, 0)
 
     def test_persistence_across_handles(self, queue, clock):
         receipt = queue.submit(rc_spec())
@@ -134,6 +157,14 @@ class TestQuota:
         queue.claim("n1")
         queue.complete(first.spec_hash, "n1")
         queue.submit(rc_spec(params={"R1": 1.1e3}))  # no raise
+
+    def test_rejection_carries_the_queue_depth_it_saw(self, tmp_path, clock):
+        queue = JobQueue(tmp_path / "q", quota=1, clock=clock)
+        queue.submit(rc_spec(params={"R1": 1.0e3}), tenant="a")
+        queue.submit(rc_spec(params={"R1": 1.1e3}), tenant="b")
+        with pytest.raises(QuotaExceeded) as err:
+            queue.submit(rc_spec(params={"R1": 1.2e3}), tenant="a")
+        assert (err.value.depth, err.value.queue_depth) == (1, 2)
 
     def test_campaign_quota_is_all_or_nothing(self, tmp_path, clock):
         queue = JobQueue(tmp_path / "q", quota=2, clock=clock)
@@ -270,6 +301,12 @@ class TestCampaigns:
         assert rollup["counts"] == {"done": 1, "pending": 2}
         assert not rollup["done"]
 
+    def test_campaign_receipts_share_the_committed_depths(self, queue):
+        queue.submit(rc_spec(params={"R1": 9e3}), tenant="other")
+        jobs = [rc_spec(params={"R1": 1e3 * (1 + i)}) for i in range(3)]
+        _, receipts = queue.submit_campaign("mc3", jobs, tenant="a")
+        assert {(r.queue_depth, r.tenant_depth) for r in receipts} == {(4, 3)}
+
     def test_campaign_resubmission_dedups_members(self, queue):
         jobs = [rc_spec(params={"R1": 1e3 * (1 + i)}) for i in range(2)]
         cid1, _ = queue.submit_campaign("mc", jobs, tenant="a")
@@ -309,3 +346,104 @@ class TestInspection:
             queue.claim("n", lease_seconds=0)
         with pytest.raises(SimulationError):
             queue.submit_campaign("empty", [])
+
+
+# A deck-sized spec: entry bodies weigh what the service's do (~3 KB).
+LADDER = "ladder\nV1 n0 0 SIN(0 1 1k)\n" + "".join(
+    f"R{i} n{i} n{i + 1} 1k\nC{i} n{i + 1} 0 1n\n" for i in range(60)
+) + ".tran 10u 1m\n.end\n"
+
+
+def ladder_spec(i: int) -> JobSpec:
+    return JobSpec(
+        circuit=CircuitRef(kind="netlist", netlist=LADDER), params={"R1": 1e3 + i}
+    )
+
+
+class TestStore:
+    def test_cycle_cost_is_independent_of_history(self, queue):
+        """claim + complete touches one row, however many the store holds."""
+
+        def median_cycle_at(entries: int) -> float:
+            for i in range(len(queue.job_hashes()), entries):
+                queue.submit(ladder_spec(i))
+            times = []
+            for _ in range(20):
+                start = time.perf_counter()
+                [job] = queue.claim("timed")
+                queue.complete(job.spec_hash, "timed")
+                times.append(time.perf_counter() - start)
+            return statistics.median(times)
+
+        shallow = median_cycle_at(50)
+        deep = median_cycle_at(800)
+        assert deep <= 3 * shallow, (shallow, deep)
+
+    def test_one_handle_shared_by_many_threads(self, queue):
+        threads, rounds = 8, 50
+        claimed: list[str] = []
+        errors: list[BaseException] = []
+
+        def hammer(worker: int) -> None:
+            try:
+                for i in range(rounds):
+                    receipt = queue.submit(rc_spec(params={"R1": 1e3 + worker + i / 100}))
+                    assert queue.status(receipt.spec_hash) is not None
+                    for job in queue.claim(f"w{worker}"):
+                        claimed.append(job.spec_hash)
+                        assert queue.complete(job.spec_hash, f"w{worker}")
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=hammer, args=(w,)) for w in range(threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert errors == []
+        # every submit was followed by a claim, so nothing is left over and
+        # no job was handed out twice
+        assert len(claimed) == len(set(claimed)) == threads * rounds
+        assert queue.counts() == {"done": threads * rounds}
+
+    def test_v1_manifest_is_refused_by_name(self, tmp_path):
+        (tmp_path / "queue.json").write_text('{"version": 1, "jobs": {}}')
+        with pytest.raises(SimulationError, match=r"queue\.json"):
+            JobQueue(tmp_path).counts()
+        assert not (tmp_path / "queue.db").exists()
+
+    def test_foreign_schema_version_is_refused(self, queue):
+        queue.submit(rc_spec())
+        queue.close()
+        with contextlib.closing(sqlite3.connect(queue.path)) as db:
+            db.execute("UPDATE meta SET version = 3")
+            db.commit()
+        with pytest.raises(SimulationError, match="schema version 3"):
+            JobQueue(queue.root).counts()
+
+    def test_cli_dump_is_the_legible_form_of_the_store(self, tmp_path, capsys):
+        queue = JobQueue(tmp_path / "q")
+        jobs = [rc_spec(params={"R1": 1e3 * (1 + i)}) for i in range(2)]
+        cid, receipts = queue.submit_campaign("pair", jobs, generator={"kind": "x"})
+        [job] = queue.claim("n1")
+        queue.complete(job.spec_hash, "n1")
+        assert cli_main(["queue", str(queue.root)]) == 0
+        dump = json.loads(capsys.readouterr().out)
+        assert dump["version"] == 2
+        assert dump["counts"] == {"done": 1, "pending": 1}
+        assert dump["jobs"] == queue.entries()
+        assert "settled" in dump["jobs"][job.spec_hash]
+        assert {h: e["attempts"] for h, e in dump["jobs"].items()} == {
+            receipts[0].spec_hash: 1, receipts[1].spec_hash: 0,
+        }
+        assert dump["campaigns"] == {cid: queue.campaign(cid)}
+
+    def test_cli_dump_of_an_empty_root(self, tmp_path, capsys):
+        assert cli_main(["queue", str(tmp_path / "fresh")]) == 0
+        assert json.loads(capsys.readouterr().out)["jobs"] == {}
