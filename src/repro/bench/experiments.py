@@ -479,11 +479,11 @@ def table_r8(threads=3) -> ExperimentResult:
 
 
 def table_r9(names=None, repeats=2, exp_id="table_r9") -> ExperimentResult:
-    """Extension: solve-cost ablation of the factorisation-reuse fast path.
+    """Extension: solve-cost ablation of factorisation reuse.
 
     Runs each circuit sequentially with ``jacobian_reuse`` off (the
-    bit-exact full-Newton reference) and on (static stamps + in-place
-    assembly + Jacobian bypass), comparing transient wall time,
+    bit-exact full-Newton reference) and on (the modified-Newton
+    Jacobian bypass), comparing transient wall time,
     factorisation counts, reuse hit rate and waveform deviation. Wall
     times are best-of-*repeats* to suppress scheduler noise.
     """

@@ -15,13 +15,8 @@ is why the paper runs the combined scheme at 3+ threads.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.backward import BackwardPipeline
-from repro.core.forward import HIT_ITERATIONS
-from repro.engine.transient import PointSolution, solve_timepoint
 from repro.integration.controller import BREAKPOINT_SNAP
-from repro.linalg.solve import LinearSolver
 
 
 class CombinedPipeline(BackwardPipeline):
@@ -85,7 +80,7 @@ class CombinedPipeline(BackwardPipeline):
         if failed or not speculative:
             self.waste(speculative, speculative=True)
             return
-        self._corrective_commit(speculative[0])
+        self.corrective_commit(speculative[0])
 
     # -- helpers ------------------------------------------------------------------
 
@@ -128,55 +123,3 @@ class CombinedPipeline(BackwardPipeline):
             iter_cap=self.options.speculative_iter_cap,
         )
         return task, spec_gap
-
-    def _corrective_commit(self, spec: PointSolution) -> None:
-        """Re-solve the speculative point against exact history and commit."""
-        corrected = self._corrective_solve(spec)
-        self.stats.newton_iterations += corrected.result.iterations
-        self.stats.work_units += corrected.result.work_units
-        self.stats.clock.advance_serial(corrected.result.work_units)
-        if not corrected.converged:
-            self.stats.newton_failures += 1
-            self.note_spec_outcome(False)
-            self.record_speculate(
-                corrected, False, corrected.result.iterations, False, spec=spec
-            )
-            self.waste([spec], speculative=True)
-            return
-        verdict = self.verdict_for(corrected)
-        if not verdict.accepted:
-            self.stats.rejected_points += 1
-            self.record_reject(corrected, verdict)
-            self.note_spec_outcome(False)
-            self.record_speculate(
-                corrected, False, corrected.result.iterations, False, spec=spec
-            )
-            self.waste([spec], speculative=True)
-            gap = corrected.t - self.t
-            self.controller.on_reject(gap, verdict)
-            return
-        self.note_spec_outcome(True)
-        hit = corrected.result.iterations <= HIT_ITERATIONS
-        self.record_speculate(
-            corrected, True, corrected.result.iterations, hit, spec=spec
-        )
-        if hit:
-            self.stats.speculative_hits += 1
-        gap = corrected.t - self.t
-        self.commit_point(corrected, gap)
-        self.controller.on_accept(gap, verdict, False)
-
-    def _corrective_solve(self, speculative: PointSolution) -> PointSolution:
-        x0 = speculative.result.x
-        if not np.all(np.isfinite(x0)):
-            x0 = None
-        return solve_timepoint(
-            self.system,
-            self.history,
-            speculative.t,
-            self.options,
-            force_be=False,
-            buffers=self.system.make_buffers(),
-            solver=LinearSolver(self.system.unknown_names),
-            x_guess=x0,
-        )

@@ -25,17 +25,9 @@ time on an ideal machine.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.pipeline import PipelineEngine
-from repro.engine.transient import PointSolution, solve_timepoint
 from repro.instrument.events import OUTCOME_NEWTON_FAIL
 from repro.integration.controller import BREAKPOINT_SNAP
-from repro.linalg.solve import LinearSolver
-
-#: Corrective phases converging within this many iterations count as
-#: speculation hits (diagnostics only).
-HIT_ITERATIONS = 2
 
 
 class ForwardPipeline(PipelineEngine):
@@ -148,43 +140,8 @@ class ForwardPipeline(PipelineEngine):
 
         # -- corrective cascade against exact history ------------------------
         for depth, sol in enumerate(speculative, start=1):
-            corrected = self._corrective_solve(sol)
-            self.stats.newton_iterations += corrected.result.iterations
-            self.stats.work_units += corrected.result.work_units
-            self.stats.clock.advance_serial(corrected.result.work_units)
-            if not corrected.converged:
-                self.stats.newton_failures += 1
-                self.note_spec_outcome(False)
-                self.record_speculate(
-                    corrected, False, corrected.result.iterations, False,
-                    spec=sol, depth=depth,
-                )
-                self.waste([sol], speculative=True)
+            if not self.corrective_commit(sol, depth):
                 return
-            c_verdict = self.verdict_for(corrected)
-            if not c_verdict.accepted:
-                self.stats.rejected_points += 1
-                self.record_reject(corrected, c_verdict)
-                self.note_spec_outcome(False)
-                self.record_speculate(
-                    corrected, False, corrected.result.iterations, False,
-                    spec=sol, depth=depth,
-                )
-                self.waste([sol], speculative=True)
-                gap = corrected.t - self.t
-                controller.on_reject(gap, c_verdict)
-                return
-            self.note_spec_outcome(True)
-            hit = corrected.result.iterations <= HIT_ITERATIONS
-            self.record_speculate(
-                corrected, True, corrected.result.iterations, hit,
-                spec=sol, depth=depth,
-            )
-            if hit:
-                self.stats.speculative_hits += 1
-            gap = corrected.t - self.t
-            self.commit_point(corrected, gap)
-            controller.on_accept(gap, c_verdict, False)
 
     # -- helpers --------------------------------------------------------------
 
@@ -200,23 +157,3 @@ class ForwardPipeline(PipelineEngine):
         # so poor recent hit rates cap it (the planning loop additionally
         # trims against the breakpoint window).
         return min(self.threads - 1, self.spec_depth_limit)
-
-    def _corrective_solve(self, speculative: PointSolution) -> PointSolution:
-        """Re-solve a speculative point against the exact history.
-
-        Uses the speculative iterate as the initial guess; a good
-        prediction makes this converge almost immediately.
-        """
-        x0 = speculative.result.x
-        if not np.all(np.isfinite(x0)):
-            x0 = None  # speculation exploded: fall back to the predictor
-        return solve_timepoint(
-            self.system,
-            self.history,
-            speculative.t,
-            self.options,
-            force_be=False,
-            buffers=self.system.make_buffers(),
-            solver=LinearSolver(self.system.unknown_names),
-            x_guess=x0,
-        )

@@ -62,6 +62,10 @@ MAX_STAGES_FACTOR = 400
 #: Smoothing factor for the stage rejection-rate EWMA.
 REJECT_EWMA_ALPHA = 0.2
 
+#: Corrective phases converging within this many iterations count as
+#: speculation hits (diagnostics only).
+HIT_ITERATIONS = 2
+
 
 @dataclass
 class PipelineStats(TransientStats):
@@ -280,7 +284,7 @@ class PipelineEngine:
                 t_new,
                 options,
                 force_be,
-                buffers=system.make_buffers(fast_path=options.jacobian_reuse),
+                buffers=system.make_buffers(),
                 solver=LinearSolver(system.unknown_names),
                 x_guess=x_guess,
                 iter_cap=iter_cap,
@@ -353,6 +357,57 @@ class PipelineEngine:
                 getattr(spec, "span_id", None),
                 outcome=OUTCOME_SPECULATIVE_HIT if hit else OUTCOME_ACCEPTED,
             )
+
+    def corrective_commit(self, spec: PointSolution, depth: int = 1) -> bool:
+        """Re-solve a speculative point against the exact history and commit.
+
+        The corrective Newton starts from the speculative iterate, so a
+        good prediction converges almost immediately; it runs inline on
+        the scheduler thread and is charged serially. Returns False when
+        the point was discarded (Newton failure or LTE rejection) — a
+        forward cascade stops there.
+        """
+        x0 = spec.result.x
+        if not np.all(np.isfinite(x0)):
+            x0 = None  # speculation exploded: fall back to the predictor
+        corrected = solve_timepoint(
+            self.system,
+            self.history,
+            spec.t,
+            self.options,
+            force_be=False,
+            buffers=self.system.make_buffers(),
+            solver=LinearSolver(self.system.unknown_names),
+            x_guess=x0,
+        )
+        iterations = corrected.result.iterations
+        self.stats.newton_iterations += iterations
+        self.stats.work_units += corrected.result.work_units
+        self.stats.clock.advance_serial(corrected.result.work_units)
+        verdict = self.verdict_for(corrected) if corrected.converged else None
+        if verdict is None:
+            self.stats.newton_failures += 1
+        elif not verdict.accepted:
+            self.stats.rejected_points += 1
+            self.record_reject(corrected, verdict)
+        gap = corrected.t - self.t
+        if verdict is None or not verdict.accepted:
+            self.note_spec_outcome(False)
+            self.record_speculate(
+                corrected, False, iterations, False, spec=spec, depth=depth
+            )
+            self.waste([spec], speculative=True)
+            if verdict is not None:
+                self.controller.on_reject(gap, verdict)
+            return False
+        self.note_spec_outcome(True)
+        hit = iterations <= HIT_ITERATIONS
+        self.record_speculate(corrected, True, iterations, hit, spec=spec, depth=depth)
+        if hit:
+            self.stats.speculative_hits += 1
+        self.commit_point(corrected, gap)
+        self.controller.on_accept(gap, verdict, False)
+        return True
 
     def charge_solution(self, solution: PointSolution) -> None:
         """Book per-solution Newton statistics (not clock time)."""

@@ -92,55 +92,48 @@ class EvalOutputs:
         f: resistive-current residual accumulator, length ``n + 1``.
         q: charge accumulator, length ``n + 1``.
         s: source-injection accumulator, length ``n + 1``.
-        g_vals / c_vals: Jacobian slot value arrays (dI/dx and dQ/dx).
+        g_vals / c_vals: Jacobian slot value arrays (dI/dx and dQ/dx),
+            seeded from the *g_base*/*c_base* constant-stamp baselines
+            (shared, read-only) and re-seeded by every :meth:`reset`:
+            linear banks never write their slots, nonlinear banks
+            overwrite theirs each evaluation.
+        workspace: the buffer set's
+            :class:`~repro.mna.pattern.AssemblyWorkspace`, created by the
+            first :meth:`~repro.mna.system.MnaSystem.jacobian` call
+            (charge-only evaluations never build a matrix).
         sims: None for the scalar path; K for an ensemble of K variants,
             in which case every buffer carries a trailing ``(..., K)``
             axis per the module-level shape contract.
     """
 
-    def __init__(self, n_unknowns: int, n_g_slots: int, n_c_slots: int, sims: int | None = None):
+    def __init__(
+        self,
+        n_unknowns: int,
+        g_base: np.ndarray,
+        c_base: np.ndarray,
+        sims: int | None = None,
+    ):
         self.n = n_unknowns
         self.sims = sims
         tail = () if sims is None else (sims,)
         self.f = np.zeros((n_unknowns + 1, *tail))
         self.q = np.zeros((n_unknowns + 1, *tail))
         self.s = np.zeros((n_unknowns + 1, *tail))
-        self.g_vals = np.zeros((n_g_slots, *tail))
-        self.c_vals = np.zeros((n_c_slots, *tail))
-        #: True when g_vals/c_vals are re-seeded from precomputed static
-        #: baselines on reset(); banks with constant stamps then skip
-        #: rewriting them every eval (the fast path).
-        self.static = False
-        self._g_base: np.ndarray | None = None
-        self._c_base: np.ndarray | None = None
-        #: Optional :class:`~repro.mna.pattern.AssemblyWorkspace` for
-        #: in-place Jacobian assembly; attached by
-        #: :meth:`~repro.mna.system.MnaSystem.make_buffers` on the fast
-        #: path, consumed by :meth:`~repro.mna.system.MnaSystem.jacobian`.
-        self.workspace = None
-
-    def enable_static_stamps(self, g_base: np.ndarray, c_base: np.ndarray) -> None:
-        """Seed resets from shared (read-only) constant-stamp baselines."""
         self._g_base = g_base
         self._c_base = c_base
-        self.static = True
+        self.g_vals = g_base.copy()
+        self.c_vals = c_base.copy()
+        self.workspace = None
 
     def reset(self) -> None:
-        """Zero every accumulator (slot arrays are overwritten, not summed,
-        by each owning bank, but zeroing keeps unclaimed slots clean).
-
-        On the static fast path the slot arrays are re-seeded from the
-        constant-stamp baselines instead, so banks whose stamps never
-        change can skip their per-eval writes entirely."""
+        """Zero the accumulators and re-seed the slot arrays from the
+        constant-stamp baselines (zero in every nonlinear bank's slots,
+        which the owning bank then overwrites)."""
         self.f[:] = 0.0
         self.q[:] = 0.0
         self.s[:] = 0.0
-        if self.static:
-            np.copyto(self.g_vals, self._g_base)
-            np.copyto(self.c_vals, self._c_base)
-        else:
-            self.g_vals[:] = 0.0
-            self.c_vals[:] = 0.0
+        np.copyto(self.g_vals, self._g_base)
+        np.copyto(self.c_vals, self._c_base)
 
 
 class DeviceBank(abc.ABC):
@@ -207,17 +200,15 @@ class DeviceBank(abc.ABC):
         """
         return False
 
-    def write_static_stamps(self, g_vals: np.ndarray, c_vals: np.ndarray) -> bool:
+    def write_static_stamps(self, g_vals: np.ndarray, c_vals: np.ndarray) -> None:
         """Write this bank's constant Jacobian stamps into the baselines.
 
         Banks whose stamps are operating-point independent (linear
-        passives, sources) write their slot values into the full-size
-        *g_vals*/*c_vals* baseline arrays once, at setup, and return
-        True; their :meth:`eval` may then skip the per-call writes when
-        ``out.static`` is set. Nonlinear banks keep the default (write
-        nothing, return False) and stamp every evaluation as before.
+        passives, sources) write them into the full-size *g_vals*/*c_vals*
+        baseline arrays here, once per system, and never in :meth:`eval`.
+        Nonlinear banks keep the default (write nothing) and stamp every
+        evaluation.
         """
-        return False
 
     @property
     def work_units(self) -> float:

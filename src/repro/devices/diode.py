@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.circuit.components import DiodeModel
 from repro.devices.base import (
     VT,
     DeviceBank,
@@ -118,13 +117,6 @@ class DiodeBank(DeviceBank):
         self._g_slots = None
         self._c_slots = None
         self._has_charge = bool(np.any(self.cj0 > 0) or np.any(self.tt > 0))
-
-    @classmethod
-    def single_model(cls, names, anode_idx, cathode_idx, model: DiodeModel, gmin: float):
-        """Convenience constructor for banks sharing one model card."""
-        models = [model] * len(names)
-        areas = [1.0] * len(names)
-        return cls(names, anode_idx, cathode_idx, models, areas, gmin)
 
     def register(self, builder: PatternBuilder) -> None:
         rows, cols = two_terminal_conductance_pattern(self.a, self.b)

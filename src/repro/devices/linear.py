@@ -48,12 +48,9 @@ class ResistorBank(DeviceBank):
         v = x_full[self.a] - x_full[self.b]
         current = self.g * v
         scatter_pair(out.f, self.a, self.b, current)
-        if not out.static:
-            out.g_vals[self._slots.slice] = two_terminal_values(self.g)
 
-    def write_static_stamps(self, g_vals, c_vals) -> bool:
+    def write_static_stamps(self, g_vals, c_vals) -> None:
         g_vals[self._slots.slice] = two_terminal_values(self.g)
-        return True
 
 
 class CapacitorBank(DeviceBank):
@@ -78,12 +75,9 @@ class CapacitorBank(DeviceBank):
         v = x_full[self.a] - x_full[self.b]
         charge = self.c * v
         scatter_pair(out.q, self.a, self.b, charge)
-        if not out.static:
-            out.c_vals[self._slots.slice] = two_terminal_values(self.c)
 
-    def write_static_stamps(self, g_vals, c_vals) -> bool:
+    def write_static_stamps(self, g_vals, c_vals) -> None:
         c_vals[self._slots.slice] = two_terminal_values(self.c)
-        return True
 
 
 class MutualInductanceBank(DeviceBank):
@@ -113,14 +107,9 @@ class MutualInductanceBank(DeviceBank):
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         np.add.at(out.q, self.j1, -self.m * x_full[self.j2])
         np.add.at(out.q, self.j2, -self.m * x_full[self.j1])
-        if not out.static:
-            out.c_vals[self._c_slots.slice] = stamp_values(
-                -self.m, -self.m, sims=self.sims
-            )
 
-    def write_static_stamps(self, g_vals, c_vals) -> bool:
+    def write_static_stamps(self, g_vals, c_vals) -> None:
         c_vals[self._c_slots.slice] = stamp_values(-self.m, -self.m, sims=self.sims)
-        return True
 
 
 class InductorBank(DeviceBank):
@@ -151,17 +140,10 @@ class InductorBank(DeviceBank):
         scatter_pair(out.f, self.a, self.b, current)
         np.add.at(out.f, self.j, x_full[self.a] - x_full[self.b])
         np.add.at(out.q, self.j, -self.l * current)
-        if not out.static:
-            ones = np.ones(self.count)
-            out.g_vals[self._g_slots.slice] = stamp_values(
-                ones, -ones, ones, -ones, sims=self.sims
-            )
-            out.c_vals[self._c_slots.slice] = -self.l
 
-    def write_static_stamps(self, g_vals, c_vals) -> bool:
+    def write_static_stamps(self, g_vals, c_vals) -> None:
         ones = np.ones(self.count)
         g_vals[self._g_slots.slice] = stamp_values(
             ones, -ones, ones, -ones, sims=self.sims
         )
         c_vals[self._c_slots.slice] = -self.l
-        return True

@@ -54,20 +54,14 @@ class VoltageSourceBank(DeviceBank):
         scatter_pair(out.f, self.p, self.m, current)
         np.add.at(out.f, self.j, x_full[self.p] - x_full[self.m])
         np.add.at(out.s, self.j, lift_sims(-self.scale * self._levels(t), self.sims))
-        if not out.static:
-            ones = np.ones(self.count)
-            out.g_vals[self._slots.slice] = stamp_values(
-                ones, -ones, ones, -ones, sims=self.sims
-            )
 
-    def write_static_stamps(self, g_vals, c_vals) -> bool:
+    def write_static_stamps(self, g_vals, c_vals) -> None:
         # Only the source *injection* depends on time/scale; the branch
         # constraint rows are constant +-1 stamps.
         ones = np.ones(self.count)
         g_vals[self._slots.slice] = stamp_values(
             ones, -ones, ones, -ones, sims=self.sims
         )
-        return True
 
     def branch_index(self, name: str) -> int:
         """MNA unknown index of the branch current of source *name*."""
@@ -94,9 +88,6 @@ class CurrentSourceBank(DeviceBank):
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         levels = self.scale * np.array([w.value(t) for w in self.waveforms])
         scatter_pair(out.s, self.p, self.m, lift_sims(levels, self.sims))
-
-    def write_static_stamps(self, g_vals, c_vals) -> bool:
-        return True  # no Jacobian entries at all
 
 
 class VcvsBank(DeviceBank):
@@ -131,18 +122,12 @@ class VcvsBank(DeviceBank):
             - self.gain * (x_full[self.cp] - x_full[self.cm])
         )
         np.add.at(out.f, self.j, branch)
-        if not out.static:
-            ones = np.ones(self.count)
-            out.g_vals[self._slots.slice] = stamp_values(
-                ones, -ones, ones, -ones, -self.gain, self.gain, sims=self.sims
-            )
 
-    def write_static_stamps(self, g_vals, c_vals) -> bool:
+    def write_static_stamps(self, g_vals, c_vals) -> None:
         ones = np.ones(self.count)
         g_vals[self._slots.slice] = stamp_values(
             ones, -ones, ones, -ones, -self.gain, self.gain, sims=self.sims
         )
-        return True
 
 
 class VccsBank(DeviceBank):
@@ -170,16 +155,11 @@ class VccsBank(DeviceBank):
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         current = self.gm * (x_full[self.cp] - x_full[self.cm])
         scatter_pair(out.f, self.p, self.m, current)
-        if not out.static:
-            out.g_vals[self._slots.slice] = stamp_values(
-                self.gm, -self.gm, -self.gm, self.gm, sims=self.sims
-            )
 
-    def write_static_stamps(self, g_vals, c_vals) -> bool:
+    def write_static_stamps(self, g_vals, c_vals) -> None:
         g_vals[self._slots.slice] = stamp_values(
             self.gm, -self.gm, -self.gm, self.gm, sims=self.sims
         )
-        return True
 
 
 class CccsBank(DeviceBank):
@@ -205,14 +185,9 @@ class CccsBank(DeviceBank):
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         current = self.gain * x_full[self.jc]
         scatter_pair(out.f, self.p, self.m, current)
-        if not out.static:
-            out.g_vals[self._slots.slice] = stamp_values(
-                self.gain, -self.gain, sims=self.sims
-            )
 
-    def write_static_stamps(self, g_vals, c_vals) -> bool:
+    def write_static_stamps(self, g_vals, c_vals) -> None:
         g_vals[self._slots.slice] = stamp_values(self.gain, -self.gain, sims=self.sims)
-        return True
 
 
 class CcvsBank(DeviceBank):
@@ -242,15 +217,9 @@ class CcvsBank(DeviceBank):
         scatter_pair(out.f, self.p, self.m, current)
         branch = x_full[self.p] - x_full[self.m] - self.r * x_full[self.jc]
         np.add.at(out.f, self.j, branch)
-        if not out.static:
-            ones = np.ones(self.count)
-            out.g_vals[self._slots.slice] = stamp_values(
-                ones, -ones, ones, -ones, -self.r, sims=self.sims
-            )
 
-    def write_static_stamps(self, g_vals, c_vals) -> bool:
+    def write_static_stamps(self, g_vals, c_vals) -> None:
         ones = np.ones(self.count)
         g_vals[self._slots.slice] = stamp_values(
             ones, -ones, ones, -ones, -self.r, sims=self.sims
         )
-        return True

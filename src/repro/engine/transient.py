@@ -68,7 +68,7 @@ def kernel_for(system: MnaSystem) -> Kernel:
     """The Newton / linear-solver / LTE triple for *system*.
 
     Two inner Newton loops exist because each wins on a benchmark
-    workload: the scalar loop is 1.2-1.35x faster at K=1 (``digital_seq``,
+    workload: the scalar loop is 1.2-1.5x faster at K=1 (``digital_seq``,
     ledger row ``ensemble.k1_over_seq``), the lockstep loop ~2.8x faster
     per variant at K=8 (``ensemble_mc``). Everything around them is
     shared, and this is the one place that chooses.
@@ -123,11 +123,7 @@ def solve_timepoint(
     ensemble system the history carries ``(n, K)`` state, so predictor,
     ``beta`` and charge derivative inherit the variant axis elementwise.
     """
-    buffers = (
-        buffers
-        if buffers is not None
-        else system.make_buffers(fast_path=options.jacobian_reuse)
-    )
+    buffers = buffers if buffers is not None else system.make_buffers()
     scheme = scheme_coefficients(options.method, history, t_new, force_be=force_be)
     if x_guess is None:
         if options.newton_guess == "predictor":
@@ -359,7 +355,7 @@ def drive_transient(
     rec_times = [0.0]
     rec_x = [x0]
     step_sizes: list[float] = []
-    buffers = system.make_buffers(fast_path=options.jacobian_reuse)
+    buffers = system.make_buffers()
     solver = kernel_for(system).make_solver()
 
     t = 0.0

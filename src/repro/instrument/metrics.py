@@ -32,7 +32,7 @@ class RunMetrics:
     dcop_seconds: float = 0.0
     tran_seconds: float = 0.0
 
-    # Linear-solver cost breakdown (factorisation-reuse fast path).
+    # Linear-solver cost breakdown (factorisation reuse).
     lu_factors: int = 0
     lu_solves: int = 0
     lu_reuse_hits: int = 0

@@ -15,7 +15,7 @@ write-only. This module turns them into a trend line:
 
 Direction matters: for most metrics *more* is worse (iterations,
 rejects, factorisations), but for a few *less* is the regression —
-losing lu reuse hits or cache hits means the fast path stopped firing,
+losing lu reuse hits or cache hits means reuse stopped firing,
 and a shrinking mean accepted step means the integrator is taking more
 steps for the same simulated window.
 """

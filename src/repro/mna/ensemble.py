@@ -45,8 +45,12 @@ class EnsembleSystem(MnaSystem):
         super().__init__(compiled, sims)
 
     def jacobian(self, out: EvalOutputs, alpha0: float):
-        """All K variant Jacobians ``G_k + alpha0*C_k + gshunt*I`` (aliased)."""
-        return out.workspace.assemble(
+        """All K variant Jacobians ``G_k + alpha0*C_k + gshunt*I`` (aliased).
+
+        Same body as the scalar method but defined here, not inherited:
+        ``wallbench``'s tracer wraps ``jacobian`` per class.
+        """
+        return self._workspace(out).assemble(
             out.g_vals, out.c_vals, alpha0, diag_shift=self.gshunt
         )
 

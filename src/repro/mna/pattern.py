@@ -186,10 +186,12 @@ class JacobianPattern:
         alpha0: float,
         diag_shift: float = 0.0,
     ) -> sp.csc_matrix:
-        """Build ``G + alpha0*C (+ diag_shift*I)`` as a CSC matrix.
+        """Build ``G + alpha0*C (+ diag_shift*I)`` as a fresh CSC matrix.
 
         *g_vals*/*c_vals* are the full slot value arrays filled by the
-        device banks for the current operating point.
+        device banks for the current operating point. For callers that
+        retain the matrix (AC analysis, tests); the Newton loop assembles
+        in place through an :class:`AssemblyWorkspace`.
         """
         if g_vals.size != self.n_g_slots or c_vals.size != self.n_c_slots:
             raise AssemblyError(
@@ -236,7 +238,7 @@ class JacobianPattern:
 
 
 class AssemblyWorkspace:
-    """Persistent assembly buffers for one pattern (the fast path).
+    """Persistent assembly buffers for one pattern (how Newton assembles).
 
     :meth:`JacobianPattern.assemble` allocates a fresh data array and a
     fresh ``csc_matrix`` per call — measurable overhead when Newton
@@ -249,9 +251,10 @@ class AssemblyWorkspace:
     needs) and never holds two Jacobians at once. Callers that retain
     matrices must use :meth:`JacobianPattern.assemble` instead.
 
-    One workspace per concurrent task (it ships inside the task's
-    :class:`~repro.devices.base.EvalOutputs` buffers), so WavePipe tasks
-    never share one.
+    One workspace per buffer set
+    (:meth:`~repro.mna.system.MnaSystem.jacobian` creates it inside the
+    task's :class:`~repro.devices.base.EvalOutputs` on first use), so
+    WavePipe tasks never share one.
     """
 
     __slots__ = ("pattern", "_data", "_matrix")

@@ -44,8 +44,6 @@ class MnaSystem:
         builder = PatternBuilder(self.n)
         for bank in compiled.banks:
             bank.register(builder)
-        self._n_g_slots = builder._g_count
-        self._n_c_slots = builder._c_count
         self.pattern = builder.finalize(extra_diagonal=True)
         self.gshunt = compiled.options.gmin
         self.voltage_mask = compiled.voltage_mask
@@ -58,40 +56,23 @@ class MnaSystem:
         #: path, ``(K,)`` for an ensemble (see :mod:`repro.devices.base`).
         self._tail = () if sims is None else (sims,)
         self._padded_shape = (self.n + 1, *self._tail)
-        self._static_base: tuple[np.ndarray, np.ndarray] | None = None
+        # Constant-stamp baselines every buffer set is seeded from (shared,
+        # read-only): the linear banks' slots hold their stamps, the rest 0.
+        self._g_base = np.zeros((self.pattern.n_g_slots, *self._tail))
+        self._c_base = np.zeros((self.pattern.n_c_slots, *self._tail))
+        for bank in compiled.banks:
+            bank.write_static_stamps(self._g_base, self._c_base)
 
-    def make_buffers(self, fast_path: bool = False) -> EvalOutputs:
+    def make_buffers(self) -> EvalOutputs:
         """Fresh evaluation buffers (one set per concurrent task).
 
-        With *fast_path* the buffers carry the factorisation-reuse
-        machinery: static-stamp baselines (linear banks write their
-        constant Jacobian entries once, then skip them per eval) and a
-        persistent :class:`~repro.mna.pattern.AssemblyWorkspace` for
-        in-place Jacobian assembly. Each call returns fresh buffers and
-        a fresh workspace, so concurrent tasks still share nothing
-        mutable — the baselines are shared but read-only.
-
-        Ensemble buffers carry a (block) workspace unconditionally: plain
-        :meth:`~repro.mna.pattern.JacobianPattern.assemble` cannot build
-        K matrices. Assembly order is the same either way, so K=1 stays
-        bit-identical with *fast_path* on or off.
+        The slot arrays start from the constant-stamp baselines (linear
+        banks stamp once per system, not per eval) and the first
+        :meth:`jacobian` call attaches the set's own
+        :class:`~repro.mna.pattern.AssemblyWorkspace`, so concurrent
+        tasks share nothing mutable — the baselines are read-only.
         """
-        out = EvalOutputs(self.n, self._n_g_slots, self._n_c_slots, sims=self.sims)
-        if fast_path:
-            out.enable_static_stamps(*self._static_baselines())
-        if fast_path or self.sims is not None:
-            out.workspace = self.pattern.workspace(self.sims)
-        return out
-
-    def _static_baselines(self) -> tuple[np.ndarray, np.ndarray]:
-        """Constant-stamp slot arrays, built once on first fast-path use."""
-        if self._static_base is None:
-            g = np.zeros((self._n_g_slots, *self._tail))
-            c = np.zeros((self._n_c_slots, *self._tail))
-            for bank in self.compiled.banks:
-                bank.write_static_stamps(g, c)
-            self._static_base = (g, c)
-        return self._static_base
+        return EvalOutputs(self.n, self._g_base, self._c_base, sims=self.sims)
 
     def pad(self, x: np.ndarray) -> np.ndarray:
         """Append the ground/trash slot (value 0) to a solution vector."""
@@ -115,17 +96,22 @@ class MnaSystem:
         """Charge vector q(x) from filled buffers."""
         return out.q[: self.n].copy()
 
+    def _workspace(self, out: EvalOutputs):
+        """*out*'s assembly workspace, created on first use."""
+        ws = out.workspace
+        if ws is None:
+            ws = out.workspace = self.pattern.workspace(self.sims)
+        return ws
+
     def jacobian(self, out: EvalOutputs, alpha0: float) -> sp.csc_matrix:
         """``G + alpha0*C + gshunt*I`` from filled buffers.
 
-        Fast-path buffers assemble in place into their workspace matrix
-        (aliased across calls — Newton factorises it immediately);
-        plain buffers build a fresh matrix per call.
+        Assembled in place into the buffers' workspace matrix, which is
+        aliased across calls — Newton factorises it immediately. Callers
+        that retain matrices use
+        :meth:`~repro.mna.pattern.JacobianPattern.assemble` instead.
         """
-        ws = out.workspace
-        if ws is not None:
-            return ws.assemble(out.g_vals, out.c_vals, alpha0, diag_shift=self.gshunt)
-        return self.pattern.assemble(
+        return self._workspace(out).assemble(
             out.g_vals, out.c_vals, alpha0, diag_shift=self.gshunt
         )
 

@@ -76,20 +76,6 @@ class VirtualClock:
         self.peak_width = max(self.peak_width, width)
         return exposed
 
-    def advance_overlapped(self, producer_cost: float, overlapped_cost: float) -> float:
-        """Charge a producer with one task hidden behind it.
-
-        The overlapped task is free up to the producer's cost; any excess
-        is exposed. Returns the exposed amount.
-        """
-        exposed = max(0.0, overlapped_cost - producer_cost)
-        self.virtual_work += producer_cost + exposed + self.sync_overhead
-        self.serial_work += producer_cost + overlapped_cost
-        self.stages += 1
-        self._stage_widths.append(2)
-        self.peak_width = max(self.peak_width, 2)
-        return exposed
-
     @property
     def mean_width(self) -> float:
         """Average number of concurrent tasks per stage."""

@@ -62,19 +62,6 @@ class BoundaryWaveform:
         """Time origin moved to *t0* (windowed partition solves start at 0)."""
         return BoundaryWaveform(times=self.times - t0, values=self.values)
 
-    def relaxed_toward(
-        self, target: "BoundaryWaveform", relax: float
-    ) -> "BoundaryWaveform":
-        """Under-relaxed update: ``relax*target + (1-relax)*self``."""
-        if target.times.shape != self.times.shape or np.any(
-            target.times != self.times
-        ):
-            target = target.resample(self.times)
-        return BoundaryWaveform(
-            times=self.times,
-            values=relax * target.values + (1.0 - relax) * self.values,
-        )
-
     def delta(self, other: "BoundaryWaveform") -> float:
         """Max absolute sample difference against *other* (same grid)."""
         if other.times.shape != self.times.shape or np.any(

@@ -99,7 +99,7 @@ def _ensemble_iterate(
     """The lockstep damped-Newton loop (instrumentation-free hot path)."""
     sims = system.sims
     n = system.n
-    out = out if out is not None else system.make_buffers(fast_path=opts.jacobian_reuse)
+    out = out if out is not None else system.make_buffers()
     solver = solver or BlockSolver(sims, system.unknown_names)
     max_iters = iter_cap if iter_cap is not None else opts.max_newton_iters
 

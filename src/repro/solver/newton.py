@@ -238,7 +238,7 @@ def _newton_iterate(
     iter_cap: int | None,
 ) -> NewtonResult:
     """The damped-Newton loop itself (instrumentation-free hot path)."""
-    out = out if out is not None else system.make_buffers(fast_path=opts.jacobian_reuse)
+    out = out if out is not None else system.make_buffers()
     solver = solver or LinearSolver(system.unknown_names)
     max_iters = iter_cap if iter_cap is not None else opts.max_newton_iters
     per_iter = iteration_work(system)

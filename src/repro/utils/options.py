@@ -82,13 +82,14 @@ class SimOptions:
             step_ratio_max * h`` — i.e. real headroom beyond the ratio
             cap, which separates genuine post-event ramps from LTE
             blind spots on oscillatory waveforms.
-        jacobian_reuse: enable the factorisation-reuse fast path —
-            static linear-device stamps copied from precomputed
-            baselines, in-place Jacobian assembly into a persistent CSC
-            workspace, and the modified-Newton "Jacobian bypass" that
-            back-solves against the previous LU factors instead of
-            refactoring every iteration. Off by default: the reuse-off
-            path is the bit-exact full-Newton reference.
+        jacobian_reuse: enable the modified-Newton "Jacobian bypass" —
+            back-solve against the previous LU factors, while they match
+            the linearised operator and the residual keeps contracting,
+            instead of refactoring every iteration. The only lever in
+            the assembly/factor path that changes iteration counts, and
+            so the only one with a switch (static linear-device stamps
+            and in-place assembly are unconditional). Off by default:
+            the reuse-off path is the bit-exact full-Newton reference.
         reuse_stall_ratio: while bypassing, the residual must contract
             by at least this factor per iteration
             (``|F_k| <= reuse_stall_ratio * |F_{k-1}|``); a stall forces

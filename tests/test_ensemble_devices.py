@@ -8,6 +8,8 @@ evaluation of that variant's own compiled circuit, bit for bit — the
 trailing sims axis re-orders no arithmetic, it only widens it.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -153,22 +155,49 @@ def test_k3_columns_match_their_variants(make, t=0.2e-6):
 
 
 @pytest.mark.parametrize("make", ALL_CIRCUITS, ids=lambda f: f.__name__)
-def test_static_stamp_fast_path_matches_plain(make):
-    """Ensemble fast-path buffers (static stamps) equal plain buffers."""
+def test_buffers_reseed_and_assemble_in_place(make):
+    """The one buffer path, scalar and K=2: constant stamps survive
+    re-evaluation, and in-place assembly equals the retained-matrix one."""
     circuit = make()
-    ens = compile_ensemble([circuit, circuit])
-    x = probe_x(ens.system.n, seed=3)
-    X = np.repeat(x[:, None], 2, axis=1)
+    a0 = 2.0e6
+    for system in (
+        MnaSystem(compile_circuit(circuit)),
+        compile_ensemble([circuit, circuit]).system,
+    ):
+        def lifted(x):
+            return x if system.sims is None else np.repeat(x[:, None], 2, axis=1)
 
-    plain = ens.system.make_buffers()
-    ens.system.eval(X, 0.1e-6, plain)
-    fast = ens.system.make_buffers(fast_path=True)
-    ens.system.eval(X, 0.1e-6, fast)
+        x1 = lifted(probe_x(system.n, seed=3))
+        x2 = lifted(probe_x(system.n, seed=4))
 
-    assert np.array_equal(plain.f, fast.f)
-    assert np.array_equal(plain.q, fast.q)
-    assert np.array_equal(plain.g_vals, fast.g_vals)
-    assert np.array_equal(plain.c_vals, fast.c_vals)
+        # A reset() that forgets to reseed, or a bank that accumulates into
+        # its slots, shows up as a second eval differing from a first one.
+        reused = system.make_buffers()
+        system.eval(x1, 0.1e-6, reused)
+        system.eval(x2, 0.2e-6, reused)
+        fresh = system.make_buffers()
+        system.eval(x2, 0.2e-6, fresh)
+        for name in ("f", "q", "s", "g_vals", "c_vals"):
+            assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+
+        # Charge-only evaluations never build a matrix.
+        assert reused.workspace is None and fresh.workspace is None
+
+        jac = system.jacobian(reused, a0)
+        assert reused.workspace is not None
+        columns = [(jac, reused.g_vals, reused.c_vals)] if system.sims is None else [
+            (jac[k], reused.g_vals[:, k], reused.c_vals[:, k]) for k in range(2)
+        ]
+        for matrix, g_vals, c_vals in columns:
+            retained = system.pattern.assemble(
+                g_vals, c_vals, a0, diag_shift=system.gshunt
+            )
+            assert np.array_equal(matrix.toarray(), retained.toarray())
+        assert system.jacobian(reused, a0) is jac  # aliased, not rebuilt
+
+
+def test_make_buffers_takes_no_argument():
+    assert list(inspect.signature(MnaSystem.make_buffers).parameters) == ["self"]
 
 
 def test_every_bank_opts_into_ensembles():
@@ -231,10 +260,10 @@ class TestShapeHelpers:
         assert np.array_equal(lifted[:, 0], v)
 
     def test_eval_outputs_shapes(self):
-        scalar = EvalOutputs(4, 6, 2)
+        scalar = EvalOutputs(4, np.zeros(6), np.zeros(2))
         assert scalar.f.shape == (5,)
         assert scalar.g_vals.shape == (6,)
-        batched = EvalOutputs(4, 6, 2, sims=3)
+        batched = EvalOutputs(4, np.zeros((6, 3)), np.zeros((2, 3)), sims=3)
         assert batched.f.shape == (5, 3)
         assert batched.g_vals.shape == (6, 3)
         assert batched.c_vals.shape == (2, 3)

@@ -33,14 +33,14 @@ class TestVirtualClock:
 
     def test_overlapped_hidden_within_producer(self):
         clock = VirtualClock()
-        exposed = clock.advance_overlapped(10.0, 6.0)
+        exposed = clock.advance_producer_stage(10.0, [6.0])
         assert exposed == 0.0
         assert clock.virtual_work == pytest.approx(10.0)
         assert clock.serial_work == pytest.approx(16.0)
 
     def test_overlapped_excess_exposed(self):
         clock = VirtualClock()
-        exposed = clock.advance_overlapped(10.0, 13.0)
+        exposed = clock.advance_producer_stage(10.0, [13.0])
         assert exposed == pytest.approx(3.0)
         assert clock.virtual_work == pytest.approx(13.0)
 

@@ -161,7 +161,7 @@ class TestKeyedReuse:
         # even at identical alpha0/gshunt.
         sys_a = MnaSystem(compile_circuit(rc_circuit, SimOptions()))
         sys_b = MnaSystem(compile_circuit(divider_circuit, SimOptions()))
-        out = sys_a.make_buffers(fast_path=True)
+        out = sys_a.make_buffers()
         x = np.zeros(sys_a.n)
         sys_a.eval(x, 0.0, out)
         jac = sys_a.jacobian(out, alpha0=1e6)
