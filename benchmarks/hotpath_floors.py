@@ -1,0 +1,89 @@
+"""Per-call floors of the Newton hot path, as one JSON object.
+
+    PYTHONPATH=src python benchmarks/hotpath_floors.py [--calls N] [--out FILE]
+
+Times each layer of one Newton iteration in a tight loop at the DC
+operating point of five registry circuits: ``MnaSystem.eval``, every
+bank's ``eval``, ``MnaSystem.jacobian``, ``LinearSolver.factor`` and
+``LinearSolver.resolve``. Each figure is the best of 5 repeats of
+*calls* back-to-back calls, in microseconds per call.
+
+These are warm-cache *floors*: in situ each layer reads about 2x its
+floor (docs/performance.md "Where the time goes"), so use them as
+shares and ratios between commits, not as totals. Informational — CI
+uploads the JSON as an artifact and gates nothing on it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import timeit
+
+from repro.circuits.registry import get_benchmark
+from repro.linalg.solve import LinearSolver
+from repro.mna.compiler import compile_circuit
+from repro.mna.system import MnaSystem
+from repro.solver.dcop import solve_operating_point
+
+CIRCUITS = ("ring9", "nandchain6", "mixer", "invchain8", "rcladder20")
+REPEATS = 5
+#: Transient-like leading coefficient (1 / 0.5 ns) so the C stream is assembled.
+ALPHA0 = 2.0e9
+
+
+def floor_us(func, calls: int) -> float:
+    """Best-of-REPEATS mean microseconds per call of *func*."""
+    best = min(timeit.repeat(func, number=calls, repeat=REPEATS))
+    return round(best / calls * 1e6, 2)
+
+
+def circuit_floors(name: str, calls: int) -> dict:
+    bench = get_benchmark(name)
+    system = MnaSystem(compile_circuit(bench.build(), bench.options))
+    x = solve_operating_point(system).x
+    out = system.make_buffers()
+    x_full = system.eval(x, 0.0, out)
+    rhs = -system.resistive_residual(out, x)
+    solver = LinearSolver(system.unknown_names)
+    solver.factor(system.jacobian(out, ALPHA0))
+
+    row = {
+        "unknowns": system.n,
+        "nnz": system.pattern.nnz,
+        "eval": floor_us(lambda: system.eval(x, 0.0, out), calls),
+        "banks": {
+            type(bank).__name__: floor_us(lambda b=bank: b.eval(x_full, 0.0, out), calls)
+            for bank in system.compiled.banks
+        },
+        "jacobian": floor_us(lambda: system.jacobian(out, ALPHA0), calls),
+    }
+    jac = system.jacobian(out, ALPHA0)
+    row["factor"] = floor_us(lambda: solver.factor(jac), calls)
+    row["resolve"] = floor_us(lambda: solver.resolve(rhs), calls)
+    return row
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--calls", type=int, default=2000, help="calls per repeat")
+    parser.add_argument("--out", help="also write the JSON object to this file")
+    args = parser.parse_args(argv)
+
+    report = {
+        "unit": "us_per_call",
+        "calls": args.calls,
+        "repeats": REPEATS,
+        "circuits": {name: circuit_floors(name, args.calls) for name in CIRCUITS},
+    }
+    text = json.dumps(report, indent=2, sort_keys=True)
+    print(text)
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,10 +11,16 @@ Contract (all arrays sized ``n_unknowns + 1``; the last element is the
 ground/trash slot):
 
 * ``register(builder)`` — once, at compile time: claim Jacobian slots.
-* ``eval(x_full, t, out)`` — fill the claimed ``out.g_vals``/``out.c_vals``
-  slices and accumulate resistive currents into ``out.f``, charges into
-  ``out.q`` and source injections into ``out.s``. Must not retain state:
-  banks are evaluated concurrently by WavePipe tasks.
+* ``write_static_stamps(g_vals, c_vals)`` — once per system: write the
+  operating-point-independent Jacobian stamps into the baselines every
+  buffer set is seeded from.
+* ``eval(x_full, t, out)`` — write the *varying* stamps of the claimed
+  ``out.g_vals``/``out.c_vals`` slices and accumulate resistive currents
+  into ``out.f`` and charges into ``out.q``; source banks add their
+  injection to ``out.s`` only when ``out.inject`` is set (it depends on
+  time and scale, not on ``x``, so a buffer set keeps it across the
+  iterations of one solve). Must not retain state: banks are evaluated
+  concurrently by WavePipe tasks.
 * ``limit(x_proposed, x_previous)`` — optionally adjust the proposed Newton
   iterate in place (junction limiting). Returns True if it changed anything.
 
@@ -40,8 +46,10 @@ Broadcasting rules: the device axis leads, the ``sims`` axis trails.
 A ``(n_devices,)`` constant does **not** broadcast against a
 ``(n_devices, K)`` value under NumPy's trailing-axis alignment — lift it
 to a column first (``p[:, None]``). :func:`stamp_values` does this
-automatically for interleaved Jacobian stamps, so banks write one stamp
-expression that is correct in both modes. Banks advertise ensemble
+automatically for the constant interleaved stamps, and
+:meth:`DeviceBank.stamp_view` exposes a bank's slot slice as ``(n_devices,
+P)`` / ``(n_devices, P, K)`` so varying stamps are written one column per
+stamp entry, correct in both modes. Banks advertise ensemble
 capability via the ``supports_ensemble`` class flag; driving an
 unsupporting bank with K > 1 raises :class:`~repro.errors.SimulationError`
 from :meth:`DeviceBank.ensure_ensemble` rather than a NumPy broadcast
@@ -74,15 +82,19 @@ def safe_exp(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(value, derivative)`` of a function equal to ``exp(u)`` for
     ``u <= EXP_ARG_MAX`` and to its tangent line beyond, so value and first
-    derivative are continuous everywhere.
+    derivative are continuous everywhere. The two are the *same array*
+    when no argument is in the linear region (the usual case): treat
+    both as read-only.
     """
     u = np.asarray(u, dtype=float)
-    clipped = np.minimum(u, EXP_ARG_MAX)
-    base = np.exp(clipped)
+    base = np.exp(np.minimum(u, EXP_ARG_MAX))
     over = u > EXP_ARG_MAX
-    value = np.where(over, base * (1.0 + (u - EXP_ARG_MAX)), base)
-    deriv = base  # tangent slope equals exp(EXP_ARG_MAX) in the linear region
-    return value, deriv
+    if not over.any():
+        return base, base
+    value = base.copy()
+    np.copyto(value, base * (1.0 + (u - EXP_ARG_MAX)), where=over)
+    # The tangent slope equals exp(EXP_ARG_MAX) in the linear region.
+    return value, base
 
 
 class EvalOutputs:
@@ -91,7 +103,16 @@ class EvalOutputs:
     Attributes:
         f: resistive-current residual accumulator, length ``n + 1``.
         q: charge accumulator, length ``n + 1``.
-        s: source-injection accumulator, length ``n + 1``.
+        s: source-injection accumulator, length ``n + 1``. A function of
+            ``(t, source scales)`` only, so :meth:`reset` keeps it while
+            that key repeats — one evaluation of ``s(t)`` per solve, not
+            per Newton iteration.
+        inject: True when the current evaluation must (re)build ``s``;
+            source banks test it before touching ``s``.
+        x_full: the padded evaluation point (``x`` plus the ground/trash
+            slot, which stays 0) and *pads*, two more padded vectors for
+            the Newton loop's junction limiter — allocated once here
+            instead of three times per iteration.
         g_vals / c_vals: Jacobian slot value arrays (dI/dx and dQ/dx),
             seeded from the *g_base*/*c_base* constant-stamp baselines
             (shared, read-only) and re-seeded by every :meth:`reset`:
@@ -119,19 +140,33 @@ class EvalOutputs:
         self.f = np.zeros((n_unknowns + 1, *tail))
         self.q = np.zeros((n_unknowns + 1, *tail))
         self.s = np.zeros((n_unknowns + 1, *tail))
+        self.inject = True
+        self._source_key = None
+        self.x_full = np.zeros((n_unknowns + 1, *tail))
+        self.pads = (np.zeros_like(self.x_full), np.zeros_like(self.x_full))
         self._g_base = g_base
         self._c_base = c_base
         self.g_vals = g_base.copy()
         self.c_vals = c_base.copy()
         self.workspace = None
 
-    def reset(self) -> None:
+    def reset(self, source_key: tuple | None = None) -> None:
         """Zero the accumulators and re-seed the slot arrays from the
-        constant-stamp baselines (zero in every nonlinear bank's slots,
-        which the owning bank then overwrites)."""
-        self.f[:] = 0.0
-        self.q[:] = 0.0
-        self.s[:] = 0.0
+        constant-stamp baselines (zero in every nonlinear bank's varying
+        slots, which the owning bank then overwrites).
+
+        *source_key* names what the source injection depends on — ``(t,
+        scale of each source bank)``. While it repeats, ``s`` is kept and
+        :attr:`inject` is False; ``None`` always rebuilds. The key is per
+        buffer set, so sets never share an injection; code that swaps a
+        bank's waveform objects (``dc_sweep``) must use fresh buffers.
+        """
+        self.f.fill(0.0)
+        self.q.fill(0.0)
+        self.inject = source_key is None or source_key != self._source_key
+        if self.inject:
+            self.s.fill(0.0)
+            self._source_key = source_key
         np.copyto(self.g_vals, self._g_base)
         np.copyto(self.c_vals, self._c_base)
 
@@ -168,6 +203,25 @@ class DeviceBank(abc.ABC):
         self.names = list(names)
         self.count = len(self.names)
 
+    def derive(self) -> None:
+        """Recompute every constant derived from :attr:`ensemble_params`.
+
+        Called at the end of ``__init__`` by banks that precompute such
+        constants, and again by :mod:`repro.mna.ensemble` *after* it has
+        stacked the parameters, so a K > 1 bank never evaluates with
+        variant-0 constants. Default: nothing derived.
+        """
+
+    def stamp_view(self, vals: np.ndarray, slots, parts: int) -> np.ndarray:
+        """This bank's slice of a slot array as ``(n_devices, parts[, K])``.
+
+        A view: writing column ``j`` sets stamp entry ``j`` of every
+        device, in the device-major slot order :meth:`register` claimed.
+        """
+        return vals[slots.start : slots.stop].reshape(
+            self.count, parts, *vals.shape[1:]
+        )
+
     def ensure_ensemble(self, sims: int) -> None:
         """Raise a clear error when this bank cannot run K > 1 variants."""
         if sims > 1 and not self.supports_ensemble:
@@ -203,11 +257,14 @@ class DeviceBank(abc.ABC):
     def write_static_stamps(self, g_vals: np.ndarray, c_vals: np.ndarray) -> None:
         """Write this bank's constant Jacobian stamps into the baselines.
 
-        Banks whose stamps are operating-point independent (linear
-        passives, sources) write them into the full-size *g_vals*/*c_vals*
-        baseline arrays here, once per system, and never in :meth:`eval`.
-        Nonlinear banks keep the default (write nothing) and stamp every
-        evaluation.
+        Every stamp that does not depend on the operating point is
+        written into the full-size *g_vals*/*c_vals* baseline arrays
+        here, once per system, and never in :meth:`eval`: all stamps of
+        the linear passives and sources, and the constant capacitance
+        entries of nonlinear banks (MOS gate capacitances, BJT ``cjc``).
+        ``(n_devices, K)`` parameters give ``(n_slots, K)`` baselines, so
+        the same code serves scalar and ensemble banks. Slots left at 0
+        are the varying ones, which the bank overwrites each evaluation.
         """
 
     @property

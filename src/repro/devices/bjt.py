@@ -68,8 +68,14 @@ class BjtBank(DeviceBank):
         self.gmin = gmin
         self.vt = np.full(self.count, VT)
         self.vcrit = self.vt * np.log(self.vt / (np.sqrt(2.0) * self.isat))
+        # One gather per evaluation: rows vb, ve, vc.
+        self._bec = np.stack([self.b, self.e, self.c])
         self._g_slots = None
         self._c_slots = None
+        self.derive()
+
+    def derive(self) -> None:
+        self._neg_sign = -self.sign
 
     def register(self, builder: PatternBuilder) -> None:
         c, b, e = self.c, self.b, self.e
@@ -79,27 +85,47 @@ class BjtBank(DeviceBank):
         self._g_slots = builder.add_g_entries(rows, cols)
         self._c_slots = builder.add_c_entries(rows, cols)
 
+    def write_static_stamps(self, g_vals, c_vals) -> None:
+        # C-stream over the 3x3 (c, b, e) block: the constant B-C junction
+        # capacitance entries. The four entries carrying the B-E
+        # capacitance (voltage-dependent through tf) are written by eval.
+        zeros = np.zeros(self.count)
+        c_vals[self._c_slots.slice] = stamp_values(
+            self.cjc,  # dQc/dVc = -p*cjc*d vbc/dVc = -p*cjc*(-p) = cjc
+            -self.cjc,  # dQc/dVb
+            zeros,  # dQc/dVe
+            -self.cjc,  # dQb/dVc
+            zeros,  # dQb/dVb (varying)
+            zeros,  # dQb/dVe (varying)
+            zeros,  # dQe/dVc
+            zeros,  # dQe/dVb (varying)
+            zeros,  # dQe/dVe (varying)
+            sims=self.sims,
+        )
+
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         p = self.sign
-        vbe = p * (x_full[self.b] - x_full[self.e])
-        vbc = p * (x_full[self.b] - x_full[self.c])
-
-        ef, def_ = safe_exp(vbe / self.vt)
-        er, der = safe_exp(vbc / self.vt)
-        i_f = self.isat * (ef - 1.0)
-        i_r = self.isat * (er - 1.0)
-        gf = self.isat * def_ / self.vt  # d i_f / d vbe
-        gr = self.isat * der / self.vt  # d i_r / d vbc
+        v = x_full[self._bec]
+        # Both junctions at once: rows (vbe, vbc), then (i_f, i_r), (gf, gr).
+        vj = p * (v[0] - v[1:])
+        ej, dej = safe_exp(vj / self.vt)
+        vbe, vbc = vj[0], vj[1]
+        currents = self.isat * (ej - 1.0)
+        i_f, i_r = currents[0], currents[1]
+        slopes = self.isat * dej / self.vt  # d i_f / d vbe, d i_r / d vbc
+        gf, gr = slopes[0], slopes[1]
 
         early = 1.0 - vbc * self.inv_vaf
-        ic = (i_f - i_r) * early - i_r / self.br + self.gmin * (vbe - vbc)
-        ib = i_f / self.bf + i_r / self.br + self.gmin * vbe
+        i_t = i_f - i_r
+        ir_br = i_r / self.br
+        gr_br = gr / self.br
+        ic = i_t * early - ir_br + self.gmin * (vbe - vbc)
+        ib = i_f / self.bf + ir_br + self.gmin * vbe
 
-        # Partials in (vbe, vbc) space.
+        # Partials in (vbe, vbc) space; d ic / d vbc is exactly -g_cc.
         dic_dvbe = gf * early + self.gmin
-        dic_dvbc = -gr * early - (i_f - i_r) * self.inv_vaf - gr / self.br - self.gmin
         dib_dvbe = gf / self.bf + self.gmin
-        dib_dvbc = gr / self.br
+        g_cc = gr * early + i_t * self.inv_vaf + gr_br + self.gmin
 
         # Real node currents: I_C into collector, I_B into base, I_E = -(I_C+I_B).
         i_c_real = p * ic
@@ -109,42 +135,28 @@ class BjtBank(DeviceBank):
         np.add.at(out.f, self.e, -(i_c_real + i_b_real))
 
         # Chain rule: vbe = p*(Vb - Ve), vbc = p*(Vb - Vc); p cancels in G.
-        g_cc = gr * early + (i_f - i_r) * self.inv_vaf + gr / self.br + self.gmin
-        g_cb = dic_dvbe + dic_dvbc
-        g_ce = -dic_dvbe
-        g_bc = -dib_dvbc
-        g_bb = dib_dvbe + dib_dvbc
-        g_be = -dib_dvbe
-        g_ec = -(g_cc + g_bc)
-        g_eb = -(g_cb + g_bb)
-        g_ee = -(g_ce + g_be)
-        out.g_vals[self._g_slots.slice] = stamp_values(
-            g_cc, g_cb, g_ce, g_bc, g_bb, g_be, g_ec, g_eb, g_ee, sims=self.sims
-        )
+        # Rows of the 3x3 block are (c, b, e); the emitter row is minus
+        # the sum of the other two (KCL).
+        g = self.stamp_view(out.g_vals, self._g_slots, 9)
+        g[:, 0] = g_cc
+        g[:, 1] = dic_dvbe - g_cc
+        g[:, 2] = -dic_dvbe
+        g[:, 3] = -gr_br
+        g[:, 4] = dib_dvbe + gr_br
+        g[:, 5] = -dib_dvbe
+        g[:, 6:] = -(g[:, :3] + g[:, 3:6])
 
         # Charges: q_be on B-E, q_bc on B-C (device space), real sign p.
         q_be = self.cje * vbe + self.tf * i_f
         q_bc = self.cjc * vbc
         c_be = self.cje + self.tf * gf
-        c_bc = self.cjc
         np.add.at(out.q, self.b, p * (q_be + q_bc))
-        np.add.at(out.q, self.e, -p * q_be)
-        np.add.at(out.q, self.c, -p * q_bc)
-        zeros = np.zeros(self.count)
-        # C-stream over the same 3x3 (c, b, e) block:
-        # dQc/d(c,b,e); dQb/...; dQe/...
-        out.c_vals[self._c_slots.slice] = stamp_values(
-            c_bc,  # dQc/dVc = -p*cjc*d vbc/dVc = -p*cjc*(-p) = cjc
-            -c_bc,  # dQc/dVb
-            zeros,  # dQc/dVe
-            -c_bc,  # dQb/dVc
-            c_be + c_bc,  # dQb/dVb
-            -c_be,  # dQb/dVe
-            zeros,  # dQe/dVc
-            -c_be,  # dQe/dVb
-            c_be,  # dQe/dVe
-            sims=self.sims,
-        )
+        np.add.at(out.q, self.e, self._neg_sign * q_be)
+        np.add.at(out.q, self.c, self._neg_sign * q_bc)
+        c = self.stamp_view(out.c_vals, self._c_slots, 9)
+        c[:, 4] = c_be + self.cjc  # dQb/dVb
+        c[:, 5] = c[:, 7] = -c_be  # dQb/dVe, dQe/dVb
+        c[:, 8] = c_be  # dQe/dVe
 
     def limit(
         self,

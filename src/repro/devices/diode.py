@@ -27,7 +27,6 @@ from repro.devices.base import (
     safe_exp,
     scatter_pair,
     two_terminal_conductance_pattern,
-    two_terminal_values,
 )
 from repro.mna.pattern import PatternBuilder
 
@@ -75,7 +74,7 @@ def depletion_charge(v: np.ndarray, cj0: np.ndarray, vj: np.ndarray, m: np.ndarr
     below = v < knee
     one_m = 1.0 - m
 
-    ratio = 1.0 - np.where(below, v, knee) / vj  # > 0 by construction
+    ratio = 1.0 - np.minimum(v, knee) / vj  # > 0 by construction
     q_below = cj0 * vj / one_m * (1.0 - ratio ** one_m)
     c_below = cj0 * ratio ** (-m)
 
@@ -87,9 +86,9 @@ def depletion_charge(v: np.ndarray, cj0: np.ndarray, vj: np.ndarray, m: np.ndarr
     q_above = q_knee + c_knee * dv + 0.5 * slope * dv * dv
     c_above = c_knee + slope * dv
 
-    charge = np.where(below, q_below, q_above)
-    cap = np.where(below, c_below, c_above)
-    return charge, cap
+    np.copyto(q_above, q_below, where=below)
+    np.copyto(c_above, c_below, where=below)
+    return q_above, c_above
 
 
 class DiodeBank(DeviceBank):
@@ -104,6 +103,7 @@ class DiodeBank(DeviceBank):
         super().__init__(names)
         self.a = np.asarray(anode_idx, dtype=np.int64)
         self.b = np.asarray(cathode_idx, dtype=np.int64)
+        self._ab = np.stack([self.a, self.b])  # one gather per evaluation
         areas = np.asarray(areas, dtype=float)
         self.isat = np.array([m.is_ for m in models]) * areas
         self.n = np.array([m.n for m in models])
@@ -124,7 +124,8 @@ class DiodeBank(DeviceBank):
         self._c_slots = builder.add_c_entries(rows, cols)
 
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
-        vd = x_full[self.a] - x_full[self.b]
+        v = x_full[self._ab]
+        vd = v[0] - v[1]
         expo, dexpo = safe_exp(vd / self.vt)
         i_junction = self.isat * (expo - 1.0)
         g_junction = self.isat * dexpo / self.vt
@@ -132,13 +133,20 @@ class DiodeBank(DeviceBank):
         current = i_junction + self.gmin * vd
         conductance = g_junction + self.gmin
         scatter_pair(out.f, self.a, self.b, current)
-        out.g_vals[self._g_slots.slice] = two_terminal_values(conductance)
+        self._stamp(out.g_vals, self._g_slots, conductance)
 
         q_dep, c_dep = depletion_charge(vd, self.cj0, self.vj, self.m)
         charge = q_dep + self.tt * i_junction
         cap = c_dep + self.tt * g_junction
         scatter_pair(out.q, self.a, self.b, charge)
-        out.c_vals[self._c_slots.slice] = two_terminal_values(cap)
+        self._stamp(out.c_vals, self._c_slots, cap)
+
+    def _stamp(self, vals, slots, g) -> None:
+        """The (+g, -g, -g, +g) stamp of each device, written column-wise."""
+        view = self.stamp_view(vals, slots, 4)
+        column = g[:, None]
+        view[:, 0::3] = column
+        view[:, 1:3] = -column
 
     def limit(
         self,

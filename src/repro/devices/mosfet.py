@@ -26,6 +26,11 @@ from repro.devices.base import DeviceBank, EvalOutputs, scatter_pair, stamp_valu
 from repro.mna.pattern import PatternBuilder
 
 
+#: Row order (s, g, d, b) of the (d, g, s, b) partials: a reversed device
+#: exchanges its drain and source rows.
+_SWAP_DS = np.array([2, 1, 0, 3])
+
+
 class MosfetBank(DeviceBank):
     """All level-1 MOSFETs (both polarities in one bank)."""
 
@@ -40,6 +45,9 @@ class MosfetBank(DeviceBank):
         self.g = np.asarray(g_idx, dtype=np.int64)
         self.s = np.asarray(s_idx, dtype=np.int64)
         self.b = np.asarray(b_idx, dtype=np.int64)
+        # One gather per evaluation; source first so the branch voltages
+        # and the two gate-charge differences are contiguous row ranges.
+        self._sdgb = np.stack([self.s, self.d, self.g, self.b])
         widths = np.asarray(widths, dtype=float)
         lengths = np.asarray(lengths, dtype=float)
         self.sign = np.array([1.0 if m.polarity == "nmos" else -1.0 for m in models])
@@ -54,6 +62,22 @@ class MosfetBank(DeviceBank):
         self.gmin = gmin
         self._g_slots = None
         self._c_slots = None
+        self.derive()
+
+    def derive(self) -> None:
+        # Products the square law repeats, grouped exactly as the
+        # left-to-right expressions they replace (0.5*lam*beta*vov**2 is
+        # ((0.5*lam)*beta)*vov**2), so results stay bit-equal.
+        self._half_beta = 0.5 * self.beta
+        self._lam_beta = self.lam * self.beta
+        self._half_lam_beta = 0.5 * self.lam * self.beta
+        self._half_gamma = 0.5 * self.gamma
+        self._sqrt_phi = np.sqrt(self.phi)
+        self._neg_sign = -self.sign
+        # +gmin on the drain partial, -gmin on the source partial.
+        self._gmin_ds = np.array([self.gmin, -self.gmin]).reshape(
+            2, *[1] * self.sign.ndim
+        )
 
     def register(self, builder: PatternBuilder) -> None:
         d, g, s, b = self.d, self.g, self.s, self.b
@@ -67,79 +91,10 @@ class MosfetBank(DeviceBank):
         c_cols = np.stack([g, s, d, g, s, g, d], axis=1).ravel()
         self._c_slots = builder.add_c_entries(c_rows, c_cols)
 
-    def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
-        p = self.sign
-        vd = x_full[self.d]
-        vg = x_full[self.g]
-        vs = x_full[self.s]
-        vb = x_full[self.b]
-
-        u_ds = p * (vd - vs)
-        u_gs = p * (vg - vs)
-        u_bs = p * (vb - vs)
-
-        forward = u_ds >= 0.0
-        # Effective (mode-resolved) branch voltages.
-        e_ds = np.where(forward, u_ds, -u_ds)
-        e_gs = np.where(forward, u_gs, u_gs - u_ds)
-        e_bs = np.where(forward, u_bs, u_bs - u_ds)
-
-        # Threshold with body effect (vbs clamped below phi for the sqrt).
-        sqrt_arg = np.maximum(self.phi - e_bs, 1e-12)
-        vth = self.vto + self.gamma * (np.sqrt(sqrt_arg) - np.sqrt(self.phi))
-        dvth_dbs = -0.5 * self.gamma / np.sqrt(sqrt_arg)
-        vov = e_gs - vth
-
-        on = vov > 0.0
-        linear = on & (e_ds < vov)
-        clm = 1.0 + self.lam * e_ds
-
-        # Saturation expressions (then overridden where linear / off).
-        ids = 0.5 * self.beta * vov**2 * clm
-        gm = self.beta * vov * clm
-        gds = 0.5 * self.lam * self.beta * vov**2
-
-        ids_lin = self.beta * (vov - 0.5 * e_ds) * e_ds * clm
-        gm_lin = self.beta * e_ds * clm
-        gds_lin = self.beta * (vov - e_ds) * clm + self.lam * self.beta * (
-            vov - 0.5 * e_ds
-        ) * e_ds
-
-        ids = np.where(linear, ids_lin, ids)
-        gm = np.where(linear, gm_lin, gm)
-        gds = np.where(linear, gds_lin, gds)
-        ids = np.where(on, ids, 0.0)
-        gm = np.where(on, gm, 0.0)
-        gds = np.where(on, gds, 0.0)
-        gmb = gm * (-dvth_dbs)
-
-        # Map effective-space conductances to real-node partials of the
-        # drain current I_D (current entering the drain terminal).
-        # Forward:  I_D = p*ids, partials (d,g,s,b) = (gds, gm, -(gm+gds+gmb), gmb)
-        # Reverse:  I_D = -p*ids', partials = (gm+gds+gmb, -gm, -gds, -gmb)
-        a_d = np.where(forward, gds, gm + gds + gmb)
-        a_g = np.where(forward, gm, -gm)
-        a_s = np.where(forward, -(gm + gds + gmb), -gds)
-        a_b = np.where(forward, gmb, -gmb)
-        i_drain = np.where(forward, p * ids, -p * ids)
-
-        # gmin between drain and source keeps off devices well-conditioned.
-        i_drain = i_drain + self.gmin * (vd - vs)
-        a_d = a_d + self.gmin
-        a_s = a_s - self.gmin
-
-        scatter_pair(out.f, self.d, self.s, i_drain)
-        out.g_vals[self._g_slots.slice] = stamp_values(
-            a_d, a_g, a_s, a_b, -a_d, -a_g, -a_s, -a_b, sims=self.sims
-        )
-
-        # Constant gate capacitances.
-        q_gs = self.cgs * (vg - vs)
-        q_gd = self.cgd * (vg - vd)
-        np.add.at(out.q, self.g, q_gs + q_gd)
-        np.add.at(out.q, self.s, -q_gs)
-        np.add.at(out.q, self.d, -q_gd)
-        out.c_vals[self._c_slots.slice] = stamp_values(
+    def write_static_stamps(self, g_vals, c_vals) -> None:
+        # The gate capacitances are voltage-independent (module docstring),
+        # so the whole C stream of this bank is constant.
+        c_vals[self._c_slots.slice] = stamp_values(
             self.cgs + self.cgd,
             -self.cgs,
             -self.cgd,
@@ -149,6 +104,76 @@ class MosfetBank(DeviceBank):
             self.cgd,
             sims=self.sims,
         )
+
+    def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
+        v = x_full[self._sdgb]  # rows vs, vd, vg, vb
+        to_source = v[1:] - v[0]  # rows vd-vs, vg-vs, vb-vs
+        # Sign-flipped branch voltages u_ds, u_gs, u_bs, then resolved to
+        # the effective (mode) voltages in place: a reversed device swaps
+        # drain and source, so e_gs = u_gs - u_ds, e_bs = u_bs - u_ds and
+        # e_ds = -u_ds.
+        e = self.sign * to_source
+        forward = e[0] >= 0.0
+        reverse = ~forward
+        np.subtract(e[1:], e[0], out=e[1:], where=reverse)
+        np.negative(e[0], out=e[0], where=reverse)
+        e_ds, e_gs, e_bs = e[0], e[1], e[2]
+
+        # Threshold with body effect (vbs clamped below phi for the sqrt).
+        root = np.sqrt(np.maximum(self.phi - e_bs, 1e-12))
+        vov = e_gs - (self.vto + self.gamma * (root - self._sqrt_phi))
+        on = vov > 0.0
+        linear = on & (e_ds < vov)
+        clm = 1.0 + self.lam * e_ds
+        vov2 = vov**2
+
+        # Rows gds, gm, ids: the saturation expressions, overridden where
+        # linear and zeroed where off.
+        ch = np.empty((3, *vov.shape))
+        np.multiply(self._half_lam_beta, vov2, out=ch[0])
+        np.multiply(self.beta * vov, clm, out=ch[1])
+        np.multiply(self._half_beta * vov2, clm, out=ch[2])
+        lin = np.empty_like(ch)
+        mid = vov - 0.5 * e_ds
+        np.add(
+            self.beta * (vov - e_ds) * clm, self._lam_beta * mid * e_ds, out=lin[0]
+        )
+        np.multiply(self.beta * e_ds, clm, out=lin[1])
+        np.multiply(self.beta * mid * e_ds, clm, out=lin[2])
+        np.copyto(ch, lin, where=linear)
+        np.copyto(ch, 0.0, where=~on)
+        gds, gm, ids = ch[0], ch[1], ch[2]
+
+        # Real-node partials of the drain current I_D (current entering
+        # the drain terminal), rows (d, g, s, b):
+        # Forward:  I_D = p*ids,   partials (gds, gm, -(gm+gds+gmb), gmb)
+        # Reverse:  I_D = -p*ids', partials (gm+gds+gmb, -gm, -gds, -gmb)
+        # i.e. the negated forward row with d and s exchanged.
+        a = np.empty((4, *vov.shape))
+        a[:2] = ch[:2]
+        np.multiply(gm, self._half_gamma / root, out=a[3])  # gmb = gm * -dvth/dvbs
+        total = gm + gds
+        total += a[3]
+        np.negative(total, out=a[2])
+        np.copyto(a, (-a).take(_SWAP_DS, axis=0), where=reverse)
+        i_drain = np.where(forward, self.sign, self._neg_sign) * ids
+
+        # gmin between drain and source keeps off devices well-conditioned.
+        i_drain += self.gmin * to_source[0]
+        a[::2] += self._gmin_ds
+
+        scatter_pair(out.f, self.d, self.s, i_drain)
+        stamps = self.stamp_view(out.g_vals, self._g_slots, 8)
+        columns = a.swapaxes(0, 1)
+        stamps[:, :4] = columns
+        np.negative(columns, out=stamps[:, 4:])
+
+        # Constant gate capacitances (their stamps are static).
+        q_gs = self.cgs * to_source[1]
+        q_gd = self.cgd * (v[2] - v[1])
+        np.add.at(out.q, self.g, q_gs + q_gd)
+        np.add.at(out.q, self.s, -q_gs)
+        np.add.at(out.q, self.d, -q_gd)
 
     def operating_regions(self, x_full: np.ndarray) -> list[str]:
         """Human-readable region of each device ("off"/"linear"/"saturation").

@@ -53,7 +53,9 @@ class VoltageSourceBank(DeviceBank):
         current = x_full[self.j]
         scatter_pair(out.f, self.p, self.m, current)
         np.add.at(out.f, self.j, x_full[self.p] - x_full[self.m])
-        np.add.at(out.s, self.j, lift_sims(-self.scale * self._levels(t), self.sims))
+        if out.inject:
+            levels = -self.scale * self._levels(t)
+            np.add.at(out.s, self.j, lift_sims(levels, self.sims))
 
     def write_static_stamps(self, g_vals, c_vals) -> None:
         # Only the source *injection* depends on time/scale; the branch
@@ -86,8 +88,9 @@ class CurrentSourceBank(DeviceBank):
         pass  # pure source injection: no Jacobian entries
 
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
-        levels = self.scale * np.array([w.value(t) for w in self.waveforms])
-        scatter_pair(out.s, self.p, self.m, lift_sims(levels, self.sims))
+        if out.inject:
+            levels = self.scale * np.array([w.value(t) for w in self.waveforms])
+            scatter_pair(out.s, self.p, self.m, lift_sims(levels, self.sims))
 
 
 class VcvsBank(DeviceBank):

@@ -1,7 +1,10 @@
-"""Sparse linear solve with circuit-flavoured diagnostics and factor reuse.
+"""Linear solve with circuit-flavoured diagnostics and factor reuse.
 
-Wraps LAPACK (dense path, below :data:`DENSE_CUTOFF` unknowns) and SuperLU
-(sparse path) behind one factor/back-solve API. Singular or near-singular
+One factor/back-solve API over two back ends, switched on matrix size
+alone: up to :data:`DENSE_CUTOFF` unknowns the raw LAPACK routines
+``dgetrf``/``dgetrs`` (the ones ``scipy.linalg.lu_factor``/``lu_solve``
+call, so factors and solutions are bit-equal to theirs, minus the
+wrappers' per-call argument handling); above it SuperLU. Singular
 factorisations raise :class:`~repro.errors.SingularMatrixError` carrying
 the name of the suspect unknown, which turns "RuntimeError: Factor is
 exactly singular" into "floating node v(n7)".
@@ -33,24 +36,30 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from repro.errors import SingularMatrixError
 
-#: Below this many unknowns a dense solve is faster than SuperLU setup.
+#: Up to this many unknowns a dense solve is faster than SuperLU setup.
+#: The single size switch: :mod:`repro.mna.pattern` assembles a dense
+#: Fortran-order matrix for exactly the systems factored densely here.
 DENSE_CUTOFF = 40
-
-#: 1/condition estimate below which we refuse the factorisation.
-RCOND_FLOOR = 1e-14
 
 
 class LinearSolver:
     """Factor-and-solve helper bound to one matrix size.
 
     Instances are cheap; WavePipe tasks each use their own. The cached
-    factorisation lives on the instance, never in shared state.
+    factorisation lives on the instance, never in shared state, and owns
+    its memory: the dense path keeps the ``dgetrf`` factors plus a copy
+    of the matrix (the reference a failed back-solve names its suspect
+    unknown from), so the aliased workspace matrix it was handed may be
+    reassembled at once. Failure is always a
+    :class:`~repro.errors.SingularMatrixError` — from ``dgetrf``'s
+    ``info`` (an exactly zero pivot), a non-finite factor (a NaN/inf
+    stamp) or a non-finite solution — never a LAPACK warning.
     """
 
     def __init__(self, unknown_names: list[str] | None = None):
@@ -85,11 +94,7 @@ class LinearSolver:
         return self._name(int(np.argmin(row_max)))
 
     def _suspect_sparse(self, matrix: sp.csc_matrix) -> str | None:
-        csr = matrix.tocsr()
-        row_max = np.zeros(matrix.shape[0])
-        for i in range(matrix.shape[0]):
-            row = csr.data[csr.indptr[i] : csr.indptr[i + 1]]
-            row_max[i] = np.abs(row).max() if row.size else 0.0
+        row_max = abs(matrix.tocsr()).max(axis=1).toarray().ravel()
         return self._name(int(np.argmin(row_max)))
 
     # -- cache management --------------------------------------------------------
@@ -115,8 +120,14 @@ class LinearSolver:
 
     # -- factor / solve ----------------------------------------------------------
 
-    def factor(self, matrix: sp.csc_matrix, key: object | None = None) -> None:
+    def factor(self, matrix, key: object | None = None) -> None:
         """Factorise *matrix*, replacing any cached factors.
+
+        *matrix* is whatever :meth:`~repro.mna.system.MnaSystem.jacobian`
+        returned — a Fortran-order ``(n, n)`` array up to
+        :data:`DENSE_CUTOFF` unknowns, a CSC matrix above — or any dense
+        or sparse square matrix. The factors never alias it: a workspace
+        may overwrite the matrix as soon as this returns.
 
         Args:
             key: opaque description of what was factored; later
@@ -163,14 +174,16 @@ class LinearSolver:
 
     def _factor_dense(self, matrix) -> None:
         self.factor_count += 1
-        dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, float)
-        with warnings.catch_warnings():
-            # LAPACK getrf flags exact zero pivots with a LinAlgWarning;
-            # we turn that condition into a typed error below instead.
-            warnings.simplefilter("ignore")
-            lu, piv = sla.lu_factor(dense, check_finite=False)
-        u_diag = np.diagonal(lu)
-        if not np.all(np.isfinite(lu)) or np.any(u_diag == 0.0):
+        # An owned Fortran-order copy: it outlives the (aliased) workspace
+        # matrix as the reference for diagnostics, and dgetrf copies it
+        # once more into the factors instead of converting it.
+        if isinstance(matrix, np.ndarray):
+            dense = np.array(matrix, dtype=float, order="F")
+        else:
+            dense = matrix.toarray(order="F").astype(float, copy=False)
+        lu, piv, info = dgetrf(dense)
+        # info > 0 is LAPACK's "U(info, info) is exactly zero".
+        if info > 0 or not np.isfinite(lu).all():
             self._mode = None
             raise SingularMatrixError(
                 "dense factorisation failed (singular matrix)",
@@ -208,8 +221,8 @@ class LinearSolver:
 
     def _backsolve(self, rhs: np.ndarray) -> np.ndarray:
         if self._mode == "dense":
-            result = sla.lu_solve(self._dense_lu, rhs, check_finite=False)
-            if not np.all(np.isfinite(result)):
+            result, _ = dgetrs(*self._dense_lu, rhs)
+            if not np.isfinite(result).all():
                 raise SingularMatrixError(
                     "dense solve produced non-finite values",
                     unknown=self._suspect_dense(self._dense_ref),
@@ -246,7 +259,9 @@ class BlockSolver:
         """Factor each variant's matrix.
 
         Args:
-            matrices: K CSC matrices over one shared pattern.
+            matrices: the K variant Jacobians
+                :meth:`~repro.mna.ensemble.EnsembleSystem.jacobian`
+                returned (dense views or CSC matrices, one pattern).
             key: factor-cache key recorded on every factored solver.
             active: optional ``(K,)`` bool mask; variants marked False
                 (converged/frozen) keep their existing factors untouched.

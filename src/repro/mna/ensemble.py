@@ -45,7 +45,9 @@ class EnsembleSystem(MnaSystem):
         super().__init__(compiled, sims)
 
     def jacobian(self, out: EvalOutputs, alpha0: float):
-        """All K variant Jacobians ``G_k + alpha0*C_k + gshunt*I`` (aliased).
+        """All K variant Jacobians ``G_k + alpha0*C_k + gshunt*I`` (aliased):
+        Fortran-order views of one block on a dense-size system, CSC
+        matrices above.
 
         Same body as the scalar method but defined here, not inherited:
         ``wallbench``'s tracer wraps ``jacobian`` per class.
@@ -108,6 +110,9 @@ def _ensemble_bank(variant_banks: list, sims: int):
         bank_vals = [np.asarray(getattr(vb, attr), dtype=float) for vb in variant_banks]
         setattr(bank, attr, np.stack(bank_vals, axis=1))
     bank.sims = sims
+    # After stacking: constants precomputed from the parameters must be
+    # the K-variant ones, not the copied variant-0 values.
+    bank.derive()
     return bank
 
 

@@ -12,6 +12,12 @@ structure of the union pattern and a scatter map from each slot to its CSC
 data index. :meth:`JacobianPattern.assemble` then builds a Jacobian with
 two ``np.add.at`` scatters (:meth:`JacobianPattern.scatter`) and no sorting.
 
+Systems small enough for the dense LU (``size <=``
+:data:`~repro.linalg.solve.DENSE_CUTOFF`) skip the sparse container
+altogether on the Newton path: their workspaces scatter the same slots,
+in the same order, through flat column-major targets straight into the
+Fortran-order ``(n, n)`` array LAPACK factors.
+
 Ground handling: unknowns are indexed ``0..n-1``; index ``n`` is a *trash*
 position. Stamps touching ground write to row/col ``n`` and are scattered
 into a sacrificial data slot that never enters the matrix, so device banks
@@ -24,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import AssemblyError
+from repro.linalg.solve import DENSE_CUTOFF
 
 
 class SlotRange:
@@ -178,6 +185,16 @@ class JacobianPattern:
         self.diag_map = diag_map
         self.n_g_slots = n_g_slots
         self.n_c_slots = n_c_slots
+        #: True when the workspaces assemble (and the solvers factor) a
+        #: dense matrix; the flat column-major position of every slot
+        #: then replaces its CSC data index (trash slot ``n*n``).
+        self.dense = size <= DENSE_CUTOFF
+        if self.dense:
+            flat = np.append(
+                np.repeat(np.arange(size), np.diff(indptr)) * size + indices,
+                size * size,
+            )
+            self._dense_maps = (flat[g_map], flat[c_map], flat[diag_map])
 
     def assemble(
         self,
@@ -199,7 +216,7 @@ class JacobianPattern:
                 f"pattern ({self.n_g_slots}, {self.n_c_slots})"
             )
         data = np.zeros(self.nnz + 1)
-        self.scatter(data, g_vals, c_vals, alpha0, diag_shift)
+        self.scatter(data, g_vals, c_vals, alpha0, diag_shift, dense=False)
         return sp.csc_matrix(
             (data[: self.nnz], self.indices, self.indptr),
             shape=(self.size, self.size),
@@ -212,19 +229,27 @@ class JacobianPattern:
         c_vals: np.ndarray,
         alpha0: float,
         diag_shift: float,
+        dense: bool,
     ) -> None:
         """Accumulate ``G + alpha0*C (+ diag_shift*I)`` into zeroed *data*.
 
-        *data* is ``(nnz + 1,)``, or ``(nnz + 1, K)`` for ``(n_slots, K)``
-        slot arrays; its last row is the trash slot. Every assembly path
-        goes through here, so their summation order cannot drift apart
-        (a K=1 ensemble must stay bit-identical to the scalar path).
+        *data* holds one entry per CSC nonzero (``dense`` False: ``nnz +
+        1`` rows) or per matrix position in column-major order (``dense``
+        True: ``n*n + 1`` rows), plus a trailing ``K`` axis for ``(n_slots,
+        K)`` slot arrays; its last row is the trash slot. Every assembly
+        path goes through here and both layouts visit the slots in the
+        same order, so their sums cannot drift apart (a K=1 ensemble
+        must stay bit-identical to the scalar path, a dense Jacobian to
+        ``assemble(...).toarray()``).
         """
-        np.add.at(data, self.g_map, g_vals)
+        g_map, c_map, diag_map = (
+            self._dense_maps if dense else (self.g_map, self.c_map, self.diag_map)
+        )
+        np.add.at(data, g_map, g_vals)
         if alpha0 != 0.0 and c_vals.size:
-            np.add.at(data, self.c_map, alpha0 * c_vals)
+            np.add.at(data, c_map, alpha0 * c_vals)
         if diag_shift:
-            np.add.at(data, self.diag_map, diag_shift)
+            np.add.at(data, diag_map, diag_shift)
 
     def workspace(self, sims: int | None = None):
         """A reusable in-place assembly buffer bound to this pattern.
@@ -243,7 +268,10 @@ class AssemblyWorkspace:
     :meth:`JacobianPattern.assemble` allocates a fresh data array and a
     fresh ``csc_matrix`` per call — measurable overhead when Newton
     assembles thousands of Jacobians over an unchanging pattern. A
-    workspace allocates both once and rewrites the matrix's data in place.
+    workspace allocates the matrix once and rewrites it in place: a
+    Fortran-order ``(n, n)`` array when the pattern is
+    :attr:`~JacobianPattern.dense` (what ``dgetrf`` takes as is — no
+    sparse container, no ``toarray``), a ``csc_matrix`` otherwise.
 
     The returned matrix is therefore *aliased*: a later :meth:`assemble`
     call overwrites it. That is safe for the Newton hot loop, which
@@ -261,11 +289,16 @@ class AssemblyWorkspace:
 
     def __init__(self, pattern: JacobianPattern):
         self.pattern = pattern
-        self._data = np.zeros(pattern.nnz + 1)
-        self._matrix = sp.csc_matrix(
-            (self._data[: pattern.nnz], pattern.indices, pattern.indptr),
-            shape=(pattern.size, pattern.size),
-        )
+        n = pattern.size
+        if pattern.dense:
+            self._data = np.zeros(n * n + 1)
+            self._matrix = self._data[: n * n].reshape((n, n), order="F")
+        else:
+            self._data = np.zeros(pattern.nnz + 1)
+            self._matrix = sp.csc_matrix(
+                (self._data[: pattern.nnz], pattern.indices, pattern.indptr),
+                shape=(n, n),
+            )
 
     def assemble(
         self,
@@ -273,10 +306,11 @@ class AssemblyWorkspace:
         c_vals: np.ndarray,
         alpha0: float,
         diag_shift: float = 0.0,
-    ) -> sp.csc_matrix:
+    ) -> np.ndarray | sp.csc_matrix:
         """In-place equivalent of :meth:`JacobianPattern.assemble`."""
+        pattern = self.pattern
         self._data.fill(0.0)
-        self.pattern.scatter(self._data, g_vals, c_vals, alpha0, diag_shift)
+        pattern.scatter(self._data, g_vals, c_vals, alpha0, diag_shift, pattern.dense)
         return self._matrix
 
 
@@ -284,13 +318,16 @@ class BlockAssemblyWorkspace:
     """Ensemble assembly: K Jacobians over one shared sparsity pattern.
 
     One ``np.add.at`` per stream scatters all K variants' slot values
-    (shaped ``(n_slots, K)`` per the ensemble device contract) into an
-    ``(nnz + 1, K)`` block whose columns are contiguous; each variant's
-    column is then copied into that variant's owned CSC data array. The
-    copy is needed because scipy will not alias a column of a 2-D block;
-    it is O(nnz) per variant, the same order as the scatter itself.
+    (shaped ``(n_slots, K)`` per the ensemble device contract) into one
+    block whose columns are contiguous. On a
+    :attr:`~JacobianPattern.dense` pattern column k of the block *is*
+    variant k's matrix — the K returned matrices are Fortran-order ``(n,
+    n)`` views of it. On a sparse pattern each variant's column is copied
+    into that variant's owned CSC data array, because scipy will not
+    alias a column of a 2-D block; the copy is O(nnz) per variant, the
+    same order as the scatter itself.
 
-    The K ``csc_matrix`` objects are built once and aliased exactly like
+    The K matrices are built once and aliased exactly like
     :class:`AssemblyWorkspace` — a later :meth:`assemble` overwrites all
     of them.
     """
@@ -302,16 +339,21 @@ class BlockAssemblyWorkspace:
             raise AssemblyError("ensemble workspace needs sims >= 1")
         self.pattern = pattern
         self.sims = sims
-        # F-order: per-variant columns are contiguous for the row copies.
-        self._scatter = np.zeros((sims, pattern.nnz + 1)).T
-        self._datas = [np.zeros(pattern.nnz) for _ in range(sims)]
-        self._matrices = [
-            sp.csc_matrix(
-                (self._datas[k], pattern.indices, pattern.indptr),
-                shape=(pattern.size, pattern.size),
-            )
-            for k in range(sims)
-        ]
+        n = pattern.size
+        rows = n * n if pattern.dense else pattern.nnz
+        # F-order: per-variant columns are contiguous.
+        self._scatter = np.zeros((sims, rows + 1)).T
+        if pattern.dense:
+            self._datas = ()
+            self._matrices = [
+                self._scatter[:rows, k].reshape((n, n), order="F") for k in range(sims)
+            ]
+        else:
+            self._datas = [np.zeros(rows) for _ in range(sims)]
+            self._matrices = [
+                sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+                for data in self._datas
+            ]
 
     def assemble(
         self,
@@ -319,7 +361,7 @@ class BlockAssemblyWorkspace:
         c_vals: np.ndarray,
         alpha0: float,
         diag_shift: float = 0.0,
-    ) -> list[sp.csc_matrix]:
+    ) -> list[np.ndarray] | list[sp.csc_matrix]:
         """Assemble all K variant Jacobians; returns the aliased matrices.
 
         *g_vals*/*c_vals* are ``(n_slots, K)`` ensemble slot arrays.
@@ -336,7 +378,7 @@ class BlockAssemblyWorkspace:
             )
         scatter = self._scatter
         scatter.fill(0.0)
-        pattern.scatter(scatter, g_vals, c_vals, alpha0, diag_shift)
+        pattern.scatter(scatter, g_vals, c_vals, alpha0, diag_shift, pattern.dense)
         for k, data in enumerate(self._datas):
             np.copyto(data, scatter[: pattern.nnz, k])
         return self._matrices

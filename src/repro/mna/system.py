@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.devices.base import EvalOutputs
+from repro.devices.base import DeviceBank, EvalOutputs
 from repro.mna.compiler import CompiledCircuit
 from repro.mna.pattern import PatternBuilder
 
@@ -52,10 +52,25 @@ class MnaSystem:
         #: system converges in one exact step, so update damping is
         #: skipped entirely.
         self.has_nonlinear = any(bank.nonlinear for bank in compiled.banks)
+        #: True when some bank junction-limits Newton updates; without one
+        #: the Newton loops skip :meth:`limit` and its padded copies.
+        self.has_limiter = any(
+            type(bank).limit is not DeviceBank.limit for bank in compiled.banks
+        )
+        #: True when ``voltage_mask`` selects anything (damping looks only
+        #: at voltage unknowns).
+        self.has_voltages = bool(compiled.voltage_mask.any())
+        # The independent-source banks: their ``scale`` (DC source
+        # stepping) and the time are all the source injection depends on.
+        self._source_banks = [
+            bank
+            for bank in (compiled.vsource_bank, compiled.isource_bank)
+            if bank is not None
+        ]
+        self._tolerances = (None, None)
         #: Trailing axis of every state/buffer array: ``()`` on the scalar
         #: path, ``(K,)`` for an ensemble (see :mod:`repro.devices.base`).
         self._tail = () if sims is None else (sims,)
-        self._padded_shape = (self.n + 1, *self._tail)
         # Constant-stamp baselines every buffer set is seeded from (shared,
         # read-only): the linear banks' slots hold their stamps, the rest 0.
         self._g_base = np.zeros((self.pattern.n_g_slots, *self._tail))
@@ -74,16 +89,18 @@ class MnaSystem:
         """
         return EvalOutputs(self.n, self._g_base, self._c_base, sims=self.sims)
 
-    def pad(self, x: np.ndarray) -> np.ndarray:
-        """Append the ground/trash slot (value 0) to a solution vector."""
-        x_full = np.zeros(self._padded_shape)
-        x_full[: self.n] = x
-        return x_full
-
     def eval(self, x: np.ndarray, t: float, out: EvalOutputs) -> np.ndarray:
-        """Evaluate all banks at (x, t); returns the padded x for reuse."""
-        out.reset()
-        x_full = self.pad(x)
+        """Evaluate all banks at (x, t) into *out*.
+
+        Returns the padded x — *out*'s own ``x_full`` buffer, overwritten
+        by the next evaluation. The source injection ``out.s`` is rebuilt
+        only when ``(t, source scales)`` differs from the buffer set's
+        previous evaluation (see :meth:`EvalOutputs.reset
+        <repro.devices.base.EvalOutputs.reset>`).
+        """
+        out.reset((t, *[bank.scale for bank in self._source_banks]))
+        x_full = out.x_full
+        x_full[: self.n] = x
         for bank in self.compiled.banks:
             bank.eval(x_full, t, out)
         return x_full
@@ -103,12 +120,16 @@ class MnaSystem:
             ws = out.workspace = self.pattern.workspace(self.sims)
         return ws
 
-    def jacobian(self, out: EvalOutputs, alpha0: float) -> sp.csc_matrix:
+    def jacobian(self, out: EvalOutputs, alpha0: float) -> np.ndarray | sp.csc_matrix:
         """``G + alpha0*C + gshunt*I`` from filled buffers.
 
-        Assembled in place into the buffers' workspace matrix, which is
-        aliased across calls — Newton factorises it immediately. Callers
-        that retain matrices use
+        A Fortran-order ``(n, n)`` array up to
+        :data:`~repro.linalg.solve.DENSE_CUTOFF` unknowns, a CSC matrix
+        above — in both cases what
+        :meth:`~repro.linalg.solve.LinearSolver.factor` takes without
+        conversion. Assembled in place into the buffers' workspace
+        matrix, which is aliased across calls — Newton factorises it
+        immediately. Callers that retain matrices use
         :meth:`~repro.mna.pattern.JacobianPattern.assemble` instead.
         """
         return self._workspace(out).assemble(
@@ -137,8 +158,17 @@ class MnaSystem:
         return self.compiled.work_units_per_eval
 
     def convergence_tolerances(self, options=None) -> np.ndarray:
-        """Per-unknown absolute tolerance: vntol for voltages, abstol for currents."""
+        """Per-unknown absolute tolerance: vntol for voltages, abstol for currents.
+
+        Read-only and memoised on the two option values (one tuple swap,
+        so concurrent solves with different options stay correct).
+        """
         opts = options or self.options
-        tol = np.full(self.n, opts.abstol)
-        tol[self.voltage_mask] = opts.vntol
+        key = (opts.abstol, opts.vntol)
+        cached_key, tol = self._tolerances
+        if cached_key != key:
+            tol = np.full(self.n, opts.abstol)
+            tol[self.voltage_mask] = opts.vntol
+            tol.flags.writeable = False
+            self._tolerances = (key, tol)
         return tol

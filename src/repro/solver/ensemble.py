@@ -126,6 +126,15 @@ def _ensemble_iterate(
         )
 
     abs_tol = system.convergence_tolerances(opts)[:, None]
+    charge_term = alpha0 != 0.0 or np.ndim(beta) > 0
+    # Global damping, as in the scalar loop: nonlinear systems only.
+    voltage_limit = (
+        opts.voltage_limit if system.has_nonlinear and system.has_voltages else 0.0
+    )
+    damping = opts.damping if system.has_nonlinear else 1.0
+    voltage_mask = system.voltage_mask
+    x_new_full, x_full = out.pads
+    changed_cols = np.zeros(sims, dtype=bool)
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (n, sims):
         raise ValueError(f"ensemble x0 must be shaped ({n}, {sims}), got {x.shape}")
@@ -135,12 +144,10 @@ def _ensemble_iterate(
         active = ~converged_mask
         system.eval(x, t, out)
         residual = system.resistive_residual(out, x)
-        if alpha0 != 0.0 or np.ndim(beta) > 0:
+        if charge_term:
             residual = residual + alpha0 * out.q[:n] + beta
-        residual_norms = (
-            np.abs(residual).max(axis=0) if residual.size else np.zeros(sims)
-        )
-        if not np.all(np.isfinite(residual_norms[active])):
+        residual_norms = np.abs(residual).max(axis=0) if n else np.zeros(sims)
+        if not np.isfinite(residual_norms[active]).all():
             work += ensemble_iteration_work(system, factored=int(active.sum()), bypassed=0)
             return finish(False, iteration, residual_norms,
                           failure="residual diverged (non-finite)")
@@ -190,33 +197,29 @@ def _ensemble_iterate(
         )
 
         # Global damping, per variant column (scalar semantics per column).
-        if system.has_nonlinear:
-            if opts.voltage_limit > 0:
-                if system.voltage_mask.any():
-                    vmax = np.abs(delta[system.voltage_mask]).max(axis=0)
-                else:
-                    vmax = np.zeros(sims)
-                hot = vmax > opts.voltage_limit
-                if hot.any():
-                    scale_cols = np.where(hot, opts.voltage_limit / np.maximum(vmax, 1e-300), 1.0)
-                    delta = delta * scale_cols
-            if opts.damping < 1.0:
-                delta = delta * opts.damping
+        if voltage_limit > 0:
+            vmax = np.abs(delta[voltage_mask]).max(axis=0)
+            hot = vmax > voltage_limit
+            if hot.any():
+                scale_cols = np.where(hot, voltage_limit / np.maximum(vmax, 1e-300), 1.0)
+                delta = delta * scale_cols
+        if damping < 1.0:
+            delta = delta * damping
 
         x_new = x + delta
         x_new[:, converged_mask] = x[:, converged_mask]
 
         # Per-device junction limiting on the padded iterate, tracking
         # which variant columns were touched.
-        changed_cols = np.zeros(sims, dtype=bool)
-        x_new_full = system.pad(x_new)
-        limited = system.limit(x_new_full, system.pad(x), changed_cols)
-        if limited:
-            x_new = x_new_full[:n]
+        if system.has_limiter:
+            changed_cols.fill(False)
+            x_new_full[:n] = x_new
+            x_full[:n] = x
+            if system.limit(x_new_full, x_full, changed_cols):
+                x_new = x_new_full[:n].copy()
 
         scale = np.maximum(np.abs(x_new), np.abs(x))
-        tol = opts.reltol * scale + abs_tol
-        small = np.all(np.abs(x_new - x) <= tol, axis=0)
+        small = (np.abs(x_new - x) <= opts.reltol * scale + abs_tol).all(axis=0)
         x = x_new
         newly = active & small & ~changed_cols
         converged_mask |= newly

@@ -17,6 +17,7 @@ concurrent WavePipe tasks can run Newton solves on the same system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,20 +271,31 @@ def _newton_iterate(
             bypass_fallbacks=fallbacks,
         )
 
+    n = system.n
     abs_tol = system.convergence_tolerances(opts)
+    charge_term = alpha0 != 0.0 or np.ndim(beta) > 0
+    # Global damping applies to nonlinear systems only: a purely linear
+    # one converges in one exact step, and damping it only turns one
+    # iteration into several.
+    voltage_limit = (
+        opts.voltage_limit if system.has_nonlinear and system.has_voltages else 0.0
+    )
+    damping = opts.damping if system.has_nonlinear else 1.0
+    voltage_mask = system.voltage_mask
+    x_new_full, x_full = out.pads
     x = np.asarray(x0, dtype=float).copy()
     residual_norm = np.inf
 
     for iteration in range(1, max_iters + 1):
         system.eval(x, t, out)
         residual = system.resistive_residual(out, x)
-        if alpha0 != 0.0 or np.ndim(beta) > 0:
-            residual = residual + alpha0 * out.q[: system.n] + beta
-        residual_norm = float(np.abs(residual).max()) if residual.size else 0.0
+        if charge_term:
+            residual = residual + alpha0 * out.q[:n] + beta
+        residual_norm = float(np.abs(residual).max()) if n else 0.0
         # Large-but-finite residuals are recoverable (overflow-safe device
         # models plus limiting pull the iterate back); only non-finite
         # values are hopeless.
-        if not np.isfinite(residual_norm):
+        if not math.isfinite(residual_norm):
             work += per_iter
             return finish(False, iteration, residual_norm,
                           failure="residual diverged (non-finite)")
@@ -320,31 +332,26 @@ def _newton_iterate(
                           failure=f"singular Jacobian: {exc}")
 
         # Global damping: cap the largest voltage move per iteration.
-        # Purely linear systems converge in one exact step — damping them
-        # only turns one iteration into several.
-        if system.has_nonlinear:
-            if opts.voltage_limit > 0:
-                vmax = (
-                    np.abs(delta[system.voltage_mask]).max()
-                    if system.voltage_mask.any()
-                    else 0.0
-                )
-                if vmax > opts.voltage_limit:
-                    delta = delta * (opts.voltage_limit / vmax)
-            if opts.damping < 1.0:
-                delta = delta * opts.damping
+        if voltage_limit > 0:
+            vmax = np.abs(delta[voltage_mask]).max()
+            if vmax > voltage_limit:
+                delta = delta * (voltage_limit / vmax)
+        if damping < 1.0:
+            delta = delta * damping
 
         x_new = x + delta
 
         # Per-device junction limiting on the padded iterate.
-        x_new_full = system.pad(x_new)
-        limited = system.limit(x_new_full, system.pad(x))
-        if limited:
-            x_new = x_new_full[: system.n]
+        limited = False
+        if system.has_limiter:
+            x_new_full[:n] = x_new
+            x_full[:n] = x
+            limited = system.limit(x_new_full, x_full)
+            if limited:
+                x_new = x_new_full[:n].copy()
 
         scale = np.maximum(np.abs(x_new), np.abs(x))
-        tol = opts.reltol * scale + abs_tol
-        small = np.all(np.abs(x_new - x) <= tol)
+        small = (np.abs(x_new - x) <= opts.reltol * scale + abs_tol).all()
         x = x_new
         if small and not limited:
             return finish(True, iteration, residual_norm)

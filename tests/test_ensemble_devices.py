@@ -192,8 +192,54 @@ def test_buffers_reseed_and_assemble_in_place(make):
             retained = system.pattern.assemble(
                 g_vals, c_vals, a0, diag_shift=system.gshunt
             )
-            assert np.array_equal(matrix.toarray(), retained.toarray())
+            # Dense-size systems: a Fortran (n, n) array, no sparse container.
+            assert isinstance(matrix, np.ndarray) and matrix.flags.f_contiguous
+            assert np.array_equal(matrix, retained.toarray())
         assert system.jacobian(reused, a0) is jac  # aliased, not rebuilt
+
+
+def test_ensemble_bank_constants_follow_the_stacked_parameters():
+    """Constants a bank precomputes are re-derived after `_ensemble_bank`
+    stacks the parameters: a K=3 bank must not evaluate with variant 0's."""
+    base = mosfet_circuit()
+    variants = [
+        apply_params(base, {name: value * factor for name, value in
+                            sorted(jitterable_params(base).items())})
+        for factor in (1.0, 1.07, 0.94)
+    ]
+    ens = compile_ensemble(variants).system
+    bank = next(b for b in ens.compiled.banks if type(b).__name__ == "MosfetBank")
+    assert bank._half_beta.shape == bank.beta.shape == (bank.count, 3)
+    assert np.array_equal(bank._half_beta, 0.5 * bank.beta)
+    assert not np.array_equal(bank._half_beta[:, 0], bank._half_beta[:, 1])
+
+
+@pytest.mark.parametrize("make", [linear_rc, inductive], ids=lambda f: f.__name__)
+def test_source_injection_is_cached_per_buffer_set_and_scale(make):
+    """`s(t)` is rebuilt when t or a source bank's scale changes (DC source
+    stepping re-solves t=0 at scales 0..1) and never leaks between sets."""
+    system = MnaSystem(compile_circuit(make()))
+    bank = system.compiled.vsource_bank or system.compiled.isource_bank
+    x = probe_x(system.n, seed=5)
+    t = 0.25e-6
+    shared, other = system.make_buffers(), system.make_buffers()
+    try:
+        for scale in (0.1, 0.5, 0.5, 1.0):
+            bank.scale = scale
+            system.eval(x, t, shared)
+            fresh = system.make_buffers()
+            system.eval(x, t, fresh)
+            assert np.array_equal(shared.s, fresh.s), scale
+            assert shared.s.any()
+    finally:
+        bank.scale = 1.0
+    system.eval(x, t, shared)
+    assert not shared.inject  # same (t, scale) as the evaluation before: kept
+    assert not other.s.any()  # a set that never evaluated holds no injection
+    system.eval(x, 2 * t, shared)
+    fresh = system.make_buffers()
+    system.eval(x, 2 * t, fresh)
+    assert np.array_equal(shared.s, fresh.s)
 
 
 def test_make_buffers_takes_no_argument():
