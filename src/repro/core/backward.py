@@ -26,21 +26,21 @@ larger future time step by moving backwards in time":
    whether the second thread guards (rejection-heavy regions) or extends
    the chain (ramp regions).
 
-Every candidate is verified oldest-first with exactly the sequential LTE
-test (``h_solve`` = its true one-step integration distance); the first
-failure discards the tail as wasted work. Accuracy is therefore identical
-to sequential by construction — pipelining changes the schedule, never
-the acceptance criteria.
+Every candidate is verified oldest-first by the routine the sequential
+step itself uses
+(:meth:`~repro.engine.transient.TransientEngine.verify_ascending`, with
+``h_solve`` = the candidate's true one-step integration distance); the
+first failure discards the tail as wasted work. Accuracy is therefore
+identical to sequential by construction — pipelining changes the
+schedule, never the acceptance criteria.
 """
 
 from __future__ import annotations
 
 from repro.core.pipeline import PipelineEngine
-from repro.instrument.events import OUTCOME_NEWTON_FAIL
 from repro.integration.controller import BREAKPOINT_SNAP
 from repro.integration.lte import predicted_max_step
 from repro.integration.methods import METHOD_ORDER
-
 
 
 def plan_backward_targets(
@@ -99,7 +99,7 @@ class BackwardPipeline(PipelineEngine):
 
     # -- stage ------------------------------------------------------------------
 
-    def run_stage(self) -> None:
+    def run_wide_stage(self) -> None:
         controller = self.controller
         h_seq, _ = controller.propose(self.t)
         room = controller.next_breakpoint(self.t) - self.t
@@ -112,24 +112,7 @@ class BackwardPipeline(PipelineEngine):
         self.stats.clock.advance_stage([s.result.work_units for s in solutions])
         for sol in solutions:
             self.charge_solution(sol)
-
-        guard = solutions[0] if has_guard else None
-        regular = solutions[1:] if has_guard else solutions
-        regular_targets = targets[1:] if has_guard else targets
-        gaps = [
-            d - (regular_targets[k - 1] if k else 0.0)
-            for k, d in enumerate(regular_targets)
-        ]
-        guard_gap = targets[0] if has_guard else 0.0
-        accepted_before = self.stats.accepted_points
-        failed = self.verify_ascending(
-            regular, guard, gaps, guard_gap, stage_base=self.t
-        )
-        accepted = self.stats.accepted_points - accepted_before
-        if len(regular) > 1:
-            # Chain extensions are the regular points beyond the first.
-            self.note_chain_outcome(len(regular) - 1, max(0, accepted - 1))
-        self.note_stage_outcome(failed)
+        self.verify_chain(solutions, targets, has_guard)
 
     def plan_targets(self, h_seq: float, room: float, budget: int) -> tuple[list[float], bool]:
         """Adaptive target plan for one stage with *budget* threads.
@@ -200,85 +183,32 @@ class BackwardPipeline(PipelineEngine):
 
     # -- verification -------------------------------------------------------------
 
-    def verify_ascending(
-        self, solutions, guard=None, gaps=None, guard_gap=0.0, stage_base=None
-    ) -> bool:
-        """Accept points oldest-first; returns True if any candidate failed.
+    def verify_chain(self, solutions, targets, has_guard: bool) -> bool:
+        """Verify one stage's backward solutions; True if any candidate failed.
 
-        A failed candidate discards everything beyond it (those solves
-        depended on the same base but their acceptance would leave a gap
-        in the verified-history chain). The optional *guard* solution is
-        pure insurance: it is only consulted — and committed — when the
-        first regular candidate fails, converting a sequential
-        reject-and-retry cycle into accepted progress.
-
-        *gaps* carries the planner's exact step per candidate so the
-        controller sees the same floating-point step values a sequential
-        run would (recomputing them from time differences costs an ulp
-        and breaks bit-exact threads=1 equivalence).
+        Splits off the guard, hands the chain to the engine's
+        :meth:`~repro.engine.transient.TransientEngine.verify_ascending`
+        with the planner's exact per-candidate steps, then does what is
+        scheduling policy rather than acceptance: the rejected tail is
+        wasted work, and the outcome feeds the EWMAs the next plan reads.
         """
-        controller = self.controller
-        accepted: list[tuple[float, object, float]] = []
-        failure_verdict = None
-        failed = False
-        for k, sol in enumerate(solutions):
-            gap = gaps[k] if gaps is not None else sol.t - self.t
-            if not sol.converged:
-                self.stats.newton_failures += 1
-                self.recorder.tag_span(
-                    getattr(sol, "span_id", None), outcome=OUTCOME_NEWTON_FAIL
-                )
-                failed = True
-                if not accepted:
-                    salvaged = self._try_guard(guard, guard_gap)
-                    guard = None
-                    if not salvaged:
-                        controller.on_newton_failure(gap)
-                self.waste(solutions[k:])
-                break
-            if k == 0:
-                self.note_solve_cost(sol.result.iterations)
-            verdict = self.verdict_for(sol)
+        guard = solutions[0] if has_guard else None
+        regular = solutions[1:] if has_guard else solutions
+        chain = targets[1:] if has_guard else targets
+        gaps = [d - (chain[k - 1] if k else 0.0) for k, d in enumerate(chain)]
+        verdicts = self.verify_ascending(
+            regular, gaps, guard, targets[0] if has_guard else 0.0
+        )
+        if verdicts:
+            self.note_solve_cost(regular[0].result.iterations)
+        for verdict in verdicts:
             if verdict.estimated:
                 self.note_h_optimal(verdict.h_optimal)
-            if not verdict.accepted:
-                self.stats.rejected_points += 1
-                self.record_reject(sol, verdict)
-                failed = True
-                failure_verdict = verdict
-                if not accepted:
-                    salvaged = self._try_guard(guard, guard_gap)
-                    guard = None
-                    if salvaged:
-                        controller.h_rec = min(
-                            controller.h_rec,
-                            max(verdict.h_optimal, controller.min_step),
-                        )
-                    else:
-                        controller.on_reject(gap, verdict)
-                self.waste(solutions[k:])
-                break
-            self.commit_point(sol, gap)
-            accepted.append((gap, verdict, sol.t))
-
-        if guard is not None:
-            # Insurance not needed: charged to the stage, nothing committed.
-            self.stats.extra["guards_unused"] = (
-                self.stats.extra.get("guards_unused", 0) + 1
-            )
-        if accepted:
-            gap, verdict, t_last = accepted[-1]
-            # Breakpoint detection must use the stage's true base time:
-            # recomputing it as t_last - gap can land an ulp below the
-            # *previous* breakpoint and misclassify the stage.
-            base = stage_base if stage_base is not None else t_last - gap
-            hit_bp = t_last >= controller.next_breakpoint(base) * (1.0 - 1e-12)
-            controller.on_accept(gap, verdict, hit_bp)
-            if hit_bp:
-                self.history.mark_era()
-            if failure_verdict is not None:
-                # A later sibling failed: temper the recommendation with
-                # the information its rejection carries.
-                retry = max(failure_verdict.h_optimal, controller.min_step)
-                controller.h_rec = min(controller.h_rec, retry)
+        accepted = sum(1 for verdict in verdicts if verdict.accepted)
+        self.waste(regular[accepted:])
+        if len(regular) > 1:
+            # Chain extensions are the regular points beyond the first.
+            self.note_chain_outcome(len(regular) - 1, max(0, accepted - 1))
+        failed = accepted < len(regular)
+        self.note_stage_outcome(failed)
         return failed

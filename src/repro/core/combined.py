@@ -24,7 +24,7 @@ class CombinedPipeline(BackwardPipeline):
 
     scheme_name = "combined"
 
-    def run_stage(self) -> None:
+    def run_wide_stage(self) -> None:
         controller = self.controller
         h_seq, _ = controller.propose(self.t)
         room = controller.next_breakpoint(self.t) - self.t
@@ -37,7 +37,7 @@ class CombinedPipeline(BackwardPipeline):
 
         chain_targets = targets[1:] if has_guard else targets
         spare_threads = self.threads - len(targets)
-        spec_task, spec_gap = self._plan_speculation(
+        spec_task = self._plan_speculation(
             base, chain_targets, room, force_be, spare_threads
         )
         all_tasks = tasks + ([spec_task] if spec_task else [])
@@ -62,21 +62,7 @@ class CombinedPipeline(BackwardPipeline):
             s.result.work_units for s in speculative
         )
 
-        guard = backward_solutions[0] if has_guard else None
-        regular = backward_solutions[1:] if has_guard else backward_solutions
-        gaps = [
-            d - (chain_targets[k - 1] if k else 0.0)
-            for k, d in enumerate(chain_targets)
-        ]
-        guard_gap = targets[0] if has_guard else 0.0
-        accepted_before = self.stats.accepted_points
-        failed = self.verify_ascending(
-            regular, guard, gaps, guard_gap, stage_base=self.t
-        )
-        accepted = self.stats.accepted_points - accepted_before
-        if len(regular) > 1:
-            self.note_chain_outcome(len(regular) - 1, max(0, accepted - 1))
-        self.note_stage_outcome(failed)
+        failed = self.verify_chain(backward_solutions, targets, has_guard)
         if failed or not speculative:
             self.waste(speculative, speculative=True)
             return
@@ -96,30 +82,29 @@ class CombinedPipeline(BackwardPipeline):
         bench).
         """
         if spare_threads < 1 or force_be or self.history.era_length < 2:
-            return None, 0.0
+            return None
         if self.controller.ratio_limited or len(targets) > 1:
-            return None, 0.0
+            return None
         if not self.speculation_pays:
-            return None, 0.0
+            return None
         front = targets[-1]
         if front >= room * (1.0 - BREAKPOINT_SNAP):
-            return None, 0.0
+            return None
         spec_gap = min(
             self._predicted_next_step(front),
             room * (1.0 - BREAKPOINT_SNAP) - front,
         )
         if spec_gap <= 0:
-            return None, 0.0
+            return None
         try:
             predicted = self.predicted_timepoint(base, self.t + front)
         except Exception:
-            return None, 0.0
+            return None
         spec_hist = base.clone()
         spec_hist.append(predicted)
-        task = self.make_point_task(
+        return self.make_point_task(
             spec_hist,
             self.t + front + spec_gap,
             False,
             iter_cap=self.options.speculative_iter_cap,
         )
-        return task, spec_gap

@@ -9,7 +9,11 @@ derivative derived from it through the integration formula). Speculative
 Newton runs with a bounded iteration budget — on real hardware it can only
 overlap the producer.
 
-When the producer's exact solution arrives, each speculative point is
+The producer is a one-candidate stage: it goes through the engine's one
+accept / reject routine
+(:meth:`~repro.engine.transient.TransientEngine.verify_ascending`, with
+the rejection guard as its fallback), exactly as the sequential step
+does. When its exact solution arrives, each speculative point is
 re-solved ("corrective" phase) against the now-exact history, *starting
 from its speculative iterate*. If the prediction was good the corrective
 phase converges in a Newton step or two — the expensive iterations were
@@ -26,7 +30,6 @@ time on an ideal machine.
 from __future__ import annotations
 
 from repro.core.pipeline import PipelineEngine
-from repro.instrument.events import OUTCOME_NEWTON_FAIL
 from repro.integration.controller import BREAKPOINT_SNAP
 
 
@@ -35,7 +38,7 @@ class ForwardPipeline(PipelineEngine):
 
     scheme_name = "forward"
 
-    def run_stage(self) -> None:
+    def run_wide_stage(self) -> None:
         controller = self.controller
         h, hits_bp = controller.propose(self.t)
         base = self.history.clone()
@@ -103,40 +106,14 @@ class ForwardPipeline(PipelineEngine):
             s.result.work_units for s in speculative
         )
 
-        # -- producer verification (identical to the sequential engine) ----
-        if not producer.converged:
-            self.stats.newton_failures += 1
-            self.recorder.tag_span(
-                getattr(producer, "span_id", None), outcome=OUTCOME_NEWTON_FAIL
-            )
-            if not self._try_guard(guard, guard_gap):
-                controller.on_newton_failure(h)
-            self.note_stage_outcome(True)
+        # -- producer verification: the engine's one accept/reject path ----
+        verdicts = self.verify_ascending([producer], [h], guard, guard_gap)
+        accepted = bool(verdicts) and verdicts[0].accepted
+        self.note_stage_outcome(not accepted)
+        if not accepted:
             self.waste(speculative, speculative=True)
             return
-        verdict = self.verdict_for(producer)
-        if not verdict.accepted:
-            self.stats.rejected_points += 1
-            self.record_reject(producer, verdict)
-            if self._try_guard(guard, guard_gap):
-                controller.h_rec = min(
-                    controller.h_rec, max(verdict.h_optimal, controller.min_step)
-                )
-            else:
-                controller.on_reject(h, verdict)
-            self.note_stage_outcome(True)
-            self.waste(speculative, speculative=True)
-            return
-        self.note_stage_outcome(False)
         self.note_solve_cost(producer.result.iterations)
-        if guard is not None:
-            self.stats.extra["guards_unused"] = (
-                self.stats.extra.get("guards_unused", 0) + 1
-            )
-        self.commit_point(producer, h)
-        controller.on_accept(h, verdict, hits_bp)
-        if hits_bp:
-            self.history.mark_era()
 
         # -- corrective cascade against exact history ------------------------
         for depth, sol in enumerate(speculative, start=1):

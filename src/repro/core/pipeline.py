@@ -1,23 +1,28 @@
-"""WavePipe pipeline engine: shared machinery of all three schemes.
+"""WavePipe pipeline engine: what is parallel, and nothing else.
 
-:class:`PipelineEngine` owns everything a pipelined transient run shares
-with the sequential baseline — operating point, accepted history, step
-controller, waveform recording — plus the parallel additions: a stage
-executor, the virtual clock, and speculative/wasted work accounting.
-Scheme subclasses implement :meth:`PipelineEngine.run_stage`, advancing
-simulated time by one pipeline stage per call.
+:class:`PipelineEngine` subclasses the transient engine
+(:class:`~repro.engine.transient.TransientEngine`), which owns everything
+a pipelined run shares with the sequential baseline — operating point,
+accepted history, step controller, waveform recording, the time loop and
+the one accept / LTE-reject / Newton-fail routine. This module adds only
+what widening a stage needs: a stage executor, the virtual clock, the
+EWMA scheduling policies, guard / waste / speculation accounting, the
+forward schemes' corrective re-solve, and the ``stage_run`` trace span.
+Scheme subclasses implement :meth:`PipelineEngine.run_wide_stage`; at
+``threads=1`` a pipelined run *is* the inherited one-wide stage (plus its
+clock charge), so it retraces the sequential run bit for bit.
 
 Correctness contract (the paper's central claim): a point enters the
 history only if (a) its Newton solve converged against already-accepted
 history using the exact integration formula, and (b) it passed the same
-LTE test the sequential engine applies. Pipelining therefore changes
-*which* time points get computed and *when*, never the equations any
-accepted point satisfies.
+LTE test the sequential engine applies — structurally, because the
+schemes inherit the one place a point can enter the history. Pipelining
+changes *which* time points get computed and *when*, never the equations
+any accepted point satisfies.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -26,38 +31,29 @@ import numpy as np
 from repro.circuit.circuit import Circuit
 from repro.engine.transient import (
     PointSolution,
+    TransientEngine,
     TransientResult,
     TransientStats,
     _build_waveforms,
     _initial_solution,
-    accept_point,
     solve_timepoint,
 )
-from repro.errors import SimulationError, TimestepError
+from repro.errors import SimulationError
 from repro.instrument.events import (
-    LTE_REJECT,
     OUTCOME_ACCEPTED,
-    OUTCOME_LTE_REJECT,
     OUTCOME_SPECULATIVE_HIT,
     OUTCOME_SPECULATIVE_WASTE,
-    RUN,
     SPECULATE,
     STAGE_RUN,
-    STEP_ACCEPT,
 )
-from repro.instrument.metrics import RunMetrics
-from repro.instrument.recorder import resolve_recorder
-from repro.integration.controller import StepController
 from repro.integration.history import Timepoint, TimepointHistory
+from repro.integration.methods import scheme_coefficients
 from repro.linalg.solve import LinearSolver
 from repro.mna.compiler import CompiledCircuit, compile_circuit
 from repro.mna.system import MnaSystem
 from repro.parallel.clock import VirtualClock
 from repro.parallel.executors import SerialExecutor, StageExecutor
 from repro.utils.options import SimOptions
-
-#: Attempt budget multiplier (runaway guard, mirrors the sequential engine).
-MAX_STAGES_FACTOR = 400
 
 #: Smoothing factor for the stage rejection-rate EWMA.
 REJECT_EWMA_ALPHA = 0.2
@@ -116,7 +112,7 @@ class PipelineResult(TransientResult):
         return self.stats  # typed convenience
 
 
-class PipelineEngine:
+class PipelineEngine(TransientEngine):
     """Template for one pipelined transient run (single use)."""
 
     #: Scheme name reported in results; subclasses override.
@@ -137,32 +133,25 @@ class PipelineEngine:
             raise SimulationError("WavePipe needs threads >= 1")
         if isinstance(compiled, Circuit):
             compiled = compile_circuit(compiled, options)
+        options = options or compiled.options
+        system = MnaSystem(compiled)
+        super().__init__(
+            system,
+            lambda stats: _initial_solution(system, options, uic, node_ics, stats),
+            tstop,
+            tstep,
+            options,
+            scheme=self.scheme_name,
+        )
         self.compiled = compiled
-        self.options = options or compiled.options
-        self.tstop = float(tstop)
         self.threads = threads
+        self._run_tags = {"threads": threads}
         self.executor = executor or SerialExecutor()
-        self._uic = uic
-        self._node_ics = node_ics
-        #: Instrumentation sink (NullRecorder unless configured); shared
-        #: with the executor so stage tasks land on per-lane trace rows.
-        self.recorder = resolve_recorder(self.options.instrument)
+        #: Shared with the executor so stage tasks land on per-lane trace rows.
         self.executor.recorder = self.recorder
-
-        self.system = MnaSystem(compiled)
         self.stats = PipelineStats(
             clock=VirtualClock(sync_overhead=self.options.sync_overhead)
         )
-        self.history = TimepointHistory()
-        self.t = 0.0
-        self._rec_times: list[float] = []
-        self._rec_x: list[np.ndarray] = []
-        self._step_sizes: list[float] = []
-        h0 = self.options.first_step_fraction * (tstep if tstep else tstop / 50.0)
-        self.controller = StepController(
-            self.options, self.tstop, h0, compiled.collect_breakpoints(self.tstop)
-        )
-        self._ran = False
         #: EWMA of stage failure (any rejection / Newton failure); drives
         #: adaptive guard scheduling in every scheme.
         self._reject_ewma = 0.0
@@ -254,14 +243,57 @@ class PipelineEngine:
             return 2
         return 1
 
-    # -- scheme hook ------------------------------------------------------------
+    # -- stage hooks ------------------------------------------------------------
 
     def run_stage(self) -> None:
-        """Advance the run by one pipeline stage (subclass responsibility).
+        """One pipeline stage, run as a ``stage_run`` span when tracing.
 
-        Must make progress or adjust the controller so a later stage can;
-        the attempt budget catches livelock.
+        The span is the parent of this stage's task spans: pool threads
+        cannot see the scheduler thread's span stack, so the executor
+        carries the id explicitly for the duration of the stage. It is
+        closed in the ``finally`` so a stage that raises (step underflow,
+        chaos faults) still leaves a balanced tree for diagnosis.
         """
+        rec = self.recorder
+        if not rec.enabled:
+            return self._advance()
+        clock = self.stats.clock
+        accepted_before = self.stats.accepted_points
+        virtual_before = clock.virtual_work
+        widths_before = len(clock._stage_widths)
+        sid = rec.begin_span(STAGE_RUN, stage=self.attempts - 1)
+        self.executor.parent_span = sid
+        try:
+            self._advance()
+        finally:
+            self.executor.parent_span = None
+            width = (
+                clock._stage_widths[-1]
+                if len(clock._stage_widths) > widths_before
+                else 1
+            )
+            rec.count("pipeline.stages")
+            rec.observe("pipeline.stage_width", width)
+            rec.end_span(
+                sid,
+                cost=clock.virtual_work - virtual_before,
+                t_sim=self.t,
+                width=width,
+                accepted=self.stats.accepted_points - accepted_before,
+                virtual_cost=clock.virtual_work - virtual_before,
+            )
+
+    def _advance(self) -> None:
+        if self.threads > 1:
+            self.run_wide_stage()
+        else:
+            # One thread: the inherited sequential step *is* the stage.
+            solution = super().run_stage()
+            self.stats.clock.advance_stage([solution.result.work_units])
+
+    def run_wide_stage(self) -> None:
+        """Advance by one multi-task stage (scheme responsibility), under
+        the same progress contract as the base ``run_stage``."""
         raise NotImplementedError
 
     # -- shared services --------------------------------------------------------
@@ -271,7 +303,6 @@ class PipelineEngine:
         history: TimepointHistory,
         t_new: float,
         force_be: bool,
-        x_guess: np.ndarray | None = None,
         iter_cap: int | None = None,
     ):
         """Closure solving one time point with task-private scratch state."""
@@ -286,45 +317,10 @@ class PipelineEngine:
                 force_be,
                 buffers=system.make_buffers(),
                 solver=LinearSolver(system.unknown_names),
-                x_guess=x_guess,
                 iter_cap=iter_cap,
             )
 
         return task
-
-    def verdict_for(self, solution: PointSolution):
-        """LTE test against the live history, honouring the solve step."""
-        return accept_point(self.system, self.history, solution, self.options)
-
-    def commit_point(self, solution: PointSolution, h_taken: float) -> None:
-        """Append an accepted point and record its trace sample."""
-        self.history.append(solution.to_timepoint())
-        self.t = solution.t
-        self.stats.accepted_points += 1
-        self._rec_times.append(self.t)
-        self._rec_x.append(solution.result.x)
-        self._step_sizes.append(h_taken)
-        if self.recorder.enabled:
-            self.recorder.count("points.accepted")
-            self.recorder.observe("step.h_accepted", h_taken)
-            self.recorder.event(STEP_ACCEPT, t_sim=self.t, h=h_taken)
-            self.recorder.tag_span(
-                getattr(solution, "span_id", None), outcome=OUTCOME_ACCEPTED
-            )
-
-    def record_reject(self, solution: PointSolution, verdict) -> None:
-        """Emit the LTE-rejection event/counter for a failed candidate."""
-        if self.recorder.enabled:
-            self.recorder.count("lte.rejects")
-            self.recorder.event(
-                LTE_REJECT,
-                t_sim=solution.t,
-                h=solution.scheme.h,
-                h_optimal=verdict.h_optimal,
-            )
-            self.recorder.tag_span(
-                getattr(solution, "span_id", None), outcome=OUTCOME_LTE_REJECT
-            )
 
     def record_speculate(self, solution: PointSolution, success: bool,
                          iterations: int, hit: bool, spec=None,
@@ -381,17 +377,12 @@ class PipelineEngine:
             x_guess=x0,
         )
         iterations = corrected.result.iterations
-        self.stats.newton_iterations += iterations
-        self.stats.work_units += corrected.result.work_units
+        gap = corrected.t - self.t
+        self.charge_solution(corrected)
         self.stats.clock.advance_serial(corrected.result.work_units)
         verdict = self.verdict_for(corrected) if corrected.converged else None
-        if verdict is None:
-            self.stats.newton_failures += 1
-        elif not verdict.accepted:
-            self.stats.rejected_points += 1
-            self.record_reject(corrected, verdict)
-        gap = corrected.t - self.t
         if verdict is None or not verdict.accepted:
+            self.record_reject(corrected, verdict, gap)
             self.note_spec_outcome(False)
             self.record_speculate(
                 corrected, False, iterations, False, spec=spec, depth=depth
@@ -405,15 +396,9 @@ class PipelineEngine:
         self.record_speculate(corrected, True, iterations, hit, spec=spec, depth=depth)
         if hit:
             self.stats.speculative_hits += 1
-        self.commit_point(corrected, gap)
+        self.commit_point(corrected, gap, verdict)
         self.controller.on_accept(gap, verdict, False)
         return True
-
-    def charge_solution(self, solution: PointSolution) -> None:
-        """Book per-solution Newton statistics (not clock time)."""
-        self.stats.newton_iterations += solution.result.iterations
-        self.stats.work_units += solution.result.work_units
-        self.stats.charge_lu(solution.result)
 
     def waste(self, solutions, speculative: bool = False) -> None:
         """Mark discarded solutions (their cost is already on the clock).
@@ -438,28 +423,6 @@ class PipelineEngine:
                     overwrite=False,
                 )
 
-    def _try_guard(self, guard, guard_gap: float = 0.0) -> bool:
-        """Commit a guard (insurance) point if it converged and passes LTE.
-
-        Shared by every scheme: when the main candidate of a stage fails,
-        the guard converts the otherwise-wasted stage into accepted
-        progress. Returns True when the guard was committed.
-        """
-        if guard is None or not guard.converged:
-            return False
-        verdict = self.verdict_for(guard)
-        if not verdict.accepted:
-            return False
-        gap = guard_gap if guard_gap > 0.0 else guard.t - self.t
-        self.commit_point(guard, gap)
-        self.controller.on_accept(gap, verdict, False)
-        self.stats.extra["guard_salvages"] = (
-            self.stats.extra.get("guard_salvages", 0) + 1
-        )
-        if self.recorder.enabled:
-            self.recorder.count("guard.salvages")
-        return True
-
     def _predicted_next_step(self, h_current: float) -> float:
         """Best guess at the step the controller will pick after the next
         acceptance: the unclamped LTE-optimal estimate bounded by the ratio
@@ -482,108 +445,18 @@ class PipelineEngine:
         out = self.system.make_buffers()
         self.system.eval(x_hat, t_new, out)
         q_hat = self.system.charge(out)
-        from repro.integration.methods import scheme_coefficients
-
         scheme = scheme_coefficients(self.options.method, history, t_new)
         return Timepoint(t_new, x_hat, q_hat, scheme.qdot(q_hat))
 
-    # -- driver -------------------------------------------------------------------
+    # -- result and trace -------------------------------------------------------
 
-    def run(self) -> PipelineResult:
-        """Execute the full transient and package the result."""
-        if self._ran:
-            raise SimulationError("PipelineEngine instances are single-use")
-        self._ran = True
-        rec = self.recorder
-        tracing = rec.enabled
-        started = time.perf_counter()
-        run_sid = (
-            rec.begin_span(RUN, kind=self.scheme_name, threads=self.threads)
-            if tracing
-            else 0
-        )
+    def run_cost(self) -> float:
+        return self.stats.virtual_total
 
-        x0, q0 = _initial_solution(
-            self.system, self.options, self._uic, self._node_ics, self.stats
-        )
-        self.history.append(Timepoint(0.0, x0, q0, np.zeros(self.system.n)))
-        self._rec_times.append(0.0)
-        self._rec_x.append(x0)
-
-        stages = 0
-        max_stages = MAX_STAGES_FACTOR * max(
-            int(self.tstop / self.controller.h_rec), 1000
-        )
-        while self.t < self.tstop * (1.0 - 1e-12):
-            stages += 1
-            if stages > max_stages:
-                raise TimestepError(
-                    f"stage budget exhausted at t={self.t:.3e}s "
-                    f"(accepted {self.stats.accepted_points})"
-                )
-            if tracing:
-                self._traced_stage(stages - 1)
-            else:
-                self.run_stage()
-
-        self.stats.tran_seconds = (
-            time.perf_counter() - started - self.stats.dcop_seconds
-        )
-        if tracing:
-            rec.end_span(
-                run_sid,
-                cost=self.stats.virtual_total,
-                accepted=self.stats.accepted_points,
-            )
-        metrics = RunMetrics.from_stats(
-            self.stats,
-            scheme=self.scheme_name,
-            threads=self.threads,
-            recorder=rec if tracing else None,
-        )
+    def _package(self, **fields) -> PipelineResult:
         return PipelineResult(
-            waveforms=_build_waveforms(self.system, self._rec_times, self._rec_x),
-            stats=self.stats,
-            times=np.array(self._rec_times),
-            step_sizes=np.array(self._step_sizes),
-            options=self.options,
-            metrics=metrics,
+            waveforms=_build_waveforms(self.system, self.times, self.solutions),
             scheme=self.scheme_name,
             threads=self.threads,
+            **fields,
         )
-
-    def _traced_stage(self, index: int) -> None:
-        """Run one stage under the recorder as a ``stage_run`` span.
-
-        The span is the parent of this stage's task spans: pool threads
-        cannot see the scheduler thread's span stack, so the executor
-        carries the id explicitly for the duration of the stage. It is
-        closed in the ``finally`` so a stage that raises (step underflow,
-        chaos faults) still leaves a balanced tree for diagnosis.
-        """
-        rec = self.recorder
-        clock = self.stats.clock
-        accepted_before = self.stats.accepted_points
-        virtual_before = clock.virtual_work
-        widths_before = len(clock._stage_widths)
-        sid = rec.begin_span(STAGE_RUN, stage=index)
-        self.executor.parent_span = sid
-        try:
-            self.run_stage()
-        finally:
-            self.executor.parent_span = None
-            width = (
-                clock._stage_widths[-1]
-                if len(clock._stage_widths) > widths_before
-                else 1
-            )
-            rec.count("pipeline.stages")
-            rec.observe("pipeline.stage_width", width)
-            rec.end_span(
-                sid,
-                cost=clock.virtual_work - virtual_before,
-                t_sim=self.t,
-                width=width,
-                accepted=self.stats.accepted_points - accepted_before,
-                virtual_cost=clock.virtual_work - virtual_before,
-            )

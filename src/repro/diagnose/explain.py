@@ -6,8 +6,8 @@ four findings:
 
 * **critical path** — on the virtual clock, which lane bounded the run:
   for a pipelined trace, every ``stage_run`` span is attributed to the
-  costliest ``stage_task`` under it and those bounding costs are folded
-  per lane; for a campaign trace, ``job_run`` spans are ranked by cost;
+  costliest candidate under it (a ``stage_task``, or the one ``timestep``
+  of a ``threads=1`` stage) and those bounding costs are folded per lane; for a campaign trace, ``job_run`` spans are ranked by cost;
   a sequential trace trivially pins lane 0.
 * **rejection taxonomy** — every rejected candidate step classified by
   cause (LTE, Newton failure, bypass-stall fallback), cross-checked
@@ -285,7 +285,7 @@ def _critical_path(tree, events) -> dict:
         lanes: dict[int, dict] = {}
         total = 0.0
         for stage in stage_nodes:
-            tasks = [c for c in stage.children if c.name == STAGE_TASK]
+            tasks = [c for c in stage.children if c.name in CANDIDATE_SPANS]
             if not tasks:
                 continue
             # ties break toward the lowest lane so attribution is stable

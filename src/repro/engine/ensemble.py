@@ -1,19 +1,19 @@
 """Ensemble transient engine: K parameter variants per solve.
 
 :func:`run_ensemble_transient` is the ensemble-specific shell around the
-one LTE-controlled loop, :func:`~repro.engine.transient.drive_transient`:
-it batches the variants into an
-:class:`~repro.mna.ensemble.EnsembleSystem`, stacks per-variant DC
-operating points into the ``(n, K)`` starting state, and splits the
-accepted ``(points, n, K)`` block back into K results. The shared grid,
-the lockstep Newton solve per candidate point and the max-reduction LTE
-accept rule all follow from the driver picking the ensemble kernel for a
+one engine, :class:`~repro.engine.transient.TransientEngine`: it batches
+the variants into an :class:`~repro.mna.ensemble.EnsembleSystem`, hands
+the engine a ``start`` callable that stacks per-variant DC operating
+points into the ``(n, K)`` starting state, and splits the accepted
+``(points, n, K)`` block back into K results. The shared grid, the
+lockstep Newton solve per candidate point and the max-reduction LTE
+accept rule all follow from the engine picking the ensemble kernel for a
 system with a ``sims`` axis (:func:`~repro.engine.transient.kernel_for`).
 
 DC operating points stay on the scalar path — homotopy fallbacks mutate
-per-variant bank state. Because the loop *is* the sequential one, a K=1
-ensemble retraces the sequential run bit for bit, with factorisation
-reuse on or off.
+per-variant bank state. Because the engine, its loop and its one-wide
+stage *are* the sequential ones, a K=1 ensemble retraces the sequential
+run bit for bit, with factorisation reuse on or off.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ import numpy as np
 
 from repro.circuit.circuit import Circuit
 from repro.engine.transient import (
+    TransientEngine,
     TransientResult,
     TransientStats,
     _initial_solution,
-    drive_transient,
 )
 from repro.instrument.metrics import RunMetrics
 from repro.mna.compiler import CompiledCircuit
@@ -122,8 +122,9 @@ def run_ensemble_transient(
         x0s, q0s = zip(*states)
         return np.stack(x0s, axis=1), np.stack(q0s, axis=1)
 
-    shared, xs = drive_transient(system, start, tstop, tstep, options, scheme="ensemble")
-    block = np.stack(xs, axis=0)  # (points, n, K)
+    engine = TransientEngine(system, start, tstop, tstep, options, scheme="ensemble")
+    shared = engine.run()
+    block = np.stack(engine.solutions, axis=0)  # (points, n, K)
     variants = [
         replace(
             shared,

@@ -1,14 +1,19 @@
-"""Sequential LTE-controlled transient analysis (the WavePipe baseline).
+"""The LTE-controlled transient engine (the WavePipe baseline and its base).
 
-This is the reference SPICE loop the paper parallelises: DC operating
-point, then one Newton solve per time point with predictor initial
-guesses, truncation-error acceptance, shrink-and-retry, and breakpoint
-restarts. WavePipe reuses the same building blocks
-(:func:`solve_timepoint`, :func:`accept_point`) so sequential and
-pipelined runs are numerically comparable point for point.
+:class:`TransientEngine` is the reference SPICE loop the paper
+parallelises: DC operating point, then Newton solves with predictor
+initial guesses, truncation-error acceptance, shrink-and-retry, and
+breakpoint restarts. It owns the run state, the *only* time loop and the
+*only* routine through which a candidate point is accepted, LTE-rejected
+or Newton-failed (:meth:`TransientEngine.verify_ascending`). Its default
+stage is the sequential step; the WavePipe schemes subclass it
+(:mod:`repro.core.pipeline`) and override only the stage, so sequential
+and pipelined points pass the same test by construction.
 
-It is also the *only* LTE-controlled time loop: :func:`drive_transient`
-runs unchanged over an :class:`~repro.mna.system.MnaSystem` or a K-variant
+:func:`run_transient` and
+:func:`~repro.engine.ensemble.run_ensemble_transient` are thin shells
+around it: the engine runs unchanged over an
+:class:`~repro.mna.system.MnaSystem` or a K-variant
 :class:`~repro.mna.ensemble.EnsembleSystem`. What differs between the two
 is the Newton kernel underneath, and :func:`kernel_for` is the single
 place that picks it — from the system's ``sims`` axis, never from an
@@ -24,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.circuit.circuit import Circuit
-from repro.errors import TimestepError
+from repro.errors import SimulationError, TimestepError
 from repro.instrument.events import (
     DCOP,
     LTE_REJECT,
@@ -49,11 +54,11 @@ from repro.solver.ensemble import ensemble_newton_solve
 from repro.solver.newton import NewtonResult, newton_solve
 from repro.utils.options import SimOptions
 
-#: Fraction of tstop considered "reached the end".
+#: Relative slack when deciding the run "reached" tstop or a breakpoint.
 END_SLACK = 1e-12
 
-#: Hard cap on attempts (reject/retry cycles) per simulation, a runaway guard.
-MAX_ATTEMPTS_FACTOR = 200
+#: Hard cap on stages (reject/retry cycles) per simulation, a runaway guard.
+MAX_ATTEMPTS_FACTOR = 400
 
 
 class Kernel(NamedTuple):
@@ -146,25 +151,6 @@ def solve_timepoint(
         result.q = system.charge(buffers)
         result.qdot = scheme.qdot(result.q)
     return PointSolution(t_new, result, scheme)
-
-
-def accept_point(
-    system: MnaSystem,
-    history: TimepointHistory,
-    solution: PointSolution,
-    options: SimOptions,
-) -> LteVerdict:
-    """Run the truncation-error test for a converged point."""
-    return kernel_for(system).verdict(
-        solution.scheme.method_used,
-        solution.scheme.order,
-        history,
-        solution.t,
-        solution.result.x,
-        system.voltage_mask,
-        options,
-        h_solve=solution.scheme.h,
-    )
 
 
 @dataclass
@@ -306,149 +292,337 @@ def run_transient(
     if instrument is not None:
         options = options.replace(instrument=instrument)
     system = MnaSystem(compiled)
-    result, xs = drive_transient(
+    engine = TransientEngine(
         system,
         lambda stats: _initial_solution(system, options, uic, node_ics, stats),
         tstop,
         tstep,
         options,
-        scheme="sequential",
     )
-    result.waveforms = _build_waveforms(system, result.times, xs)
+    result = engine.run()
+    result.waveforms = _build_waveforms(system, result.times, engine.solutions)
     return result
 
 
-def drive_transient(
-    system: MnaSystem,
-    start: Callable[[TransientStats], tuple[np.ndarray, np.ndarray]],
-    tstop: float,
-    tstep: float | None,
-    options: SimOptions,
-    scheme: str,
-) -> tuple[TransientResult, list[np.ndarray]]:
-    """The LTE-controlled time loop, 0 to *tstop*, over *system*.
+class TransientEngine:
+    """One LTE-controlled transient run, 0 to *tstop* (single use).
+
+    Owns the run state (accepted history, step controller, recorded
+    points, stats), the time loop with its attempt budget, and
+    :meth:`verify_ascending`, the one routine through which a point enters
+    the history. :meth:`run_stage` advances the run by one stage; the
+    default is the sequential step. The WavePipe schemes
+    (:class:`~repro.core.pipeline.PipelineEngine`) override it with wider
+    stages and add only what is parallel.
 
     *start* yields the ``(x0, q0)`` state at t=0 and books its cost into
     the stats it is handed. State arrays are whatever shape *system*
     evaluates — ``(n,)``, or ``(n, K)`` for an ensemble, whose K variants
-    then share one grid and one controller. Returns the result with
-    ``waveforms`` still unset, plus the accepted solutions (t=0 first):
-    how those split into traces is the caller's business.
+    then share one grid and one controller.
     """
-    rec = resolve_recorder(options.instrument)
-    tracing = rec.enabled
-    ensemble = system.sims is not None
-    tags = {"sims": system.sims} if ensemble else {}  # span attrs
-    stats = TransientStats()
-    started = time.perf_counter()
-    run_sid = rec.begin_span(RUN, kind=scheme, **tags) if tracing else 0
 
-    x0, q0 = start(stats)
-    history = TimepointHistory()
-    history.append(Timepoint(0.0, x0, q0, np.zeros_like(x0)))
+    threads = 1
 
-    h0 = options.first_step_fraction * (tstep if tstep else tstop / 50.0)
-    controller = StepController(
-        options, tstop, h0, system.compiled.collect_breakpoints(tstop)
-    )
-
-    rec_times = [0.0]
-    rec_x = [x0]
-    step_sizes: list[float] = []
-    buffers = system.make_buffers()
-    solver = kernel_for(system).make_solver()
-
-    t = 0.0
-    attempts = 0
-    max_attempts = MAX_ATTEMPTS_FACTOR * max(int(tstop / h0), 1000)
-    while t < tstop * (1.0 - END_SLACK):
-        attempts += 1
-        if attempts > max_attempts:
-            raise TimestepError(
-                f"attempt budget exhausted at t={t:.3e}s "
-                f"({stats.accepted_points} accepted, {stats.rejected_points} rejected)"
-            )
-        h, hits_bp = controller.propose(t)
-        step_sid = rec.begin_span(TIMESTEP, t_sim=t + h, h=h, **tags) if tracing else 0
-        solution = solve_timepoint(
-            system, history, t + h, options, controller.force_be, buffers, solver
+    def __init__(
+        self,
+        system: MnaSystem,
+        start: Callable[[TransientStats], tuple[np.ndarray, np.ndarray]],
+        tstop: float,
+        tstep: float | None,
+        options: SimOptions,
+        scheme: str = "sequential",
+    ):
+        self.system = system
+        self.options = options
+        self.tstop = float(tstop)
+        self.scheme_name = scheme
+        self._start = start
+        #: Instrumentation sink (NullRecorder unless configured).
+        self.recorder = resolve_recorder(options.instrument)
+        #: Span attributes of an ensemble run (none on a scalar system).
+        self._tags = {"sims": system.sims} if system.sims is not None else {}
+        self._run_tags = self._tags
+        self.stats = TransientStats()
+        self.history = TimepointHistory()
+        self.t = 0.0
+        #: Stages started so far (each is at least one solve attempt).
+        self.attempts = 0
+        #: The accepted grid: times, solutions (t=0 first) and steps taken.
+        self.times: list[float] = []
+        self.solutions: list[np.ndarray] = []
+        self.step_sizes: list[float] = []
+        h0 = options.first_step_fraction * (tstep if tstep else tstop / 50.0)
+        self.controller = StepController(
+            options, self.tstop, h0, system.compiled.collect_breakpoints(self.tstop)
         )
-        stats.work_units += solution.result.work_units
-        stats.newton_iterations += solution.result.iterations
-        stats.charge_lu(solution.result)
-        if not solution.converged:
-            stats.newton_failures += 1
-            if tracing:
-                rec.end_span(
-                    step_sid,
-                    outcome=OUTCOME_NEWTON_FAIL,
-                    cost=solution.result.work_units,
-                )
-            controller.on_newton_failure(h)
-            continue
+        # The one-wide stage's scratch: kept for the whole run, so factors
+        # carry over between time points.
+        self._buffers = system.make_buffers()
+        self._solver = kernel_for(system).make_solver()
+        #: Open ``timestep`` span of a traced one-wide stage (0 = none).
+        self._step_span = 0
+        self._ran = False
 
-        verdict = accept_point(system, history, solution, options)
-        if not verdict.accepted:
-            stats.rejected_points += 1
-            if tracing:
-                rec.end_span(
-                    step_sid,
-                    outcome=OUTCOME_LTE_REJECT,
-                    cost=solution.result.work_units,
-                )
-                rec.count("lte.rejects")
-                worst = {}
-                if ensemble:
-                    rec.count("ensemble.lte.rejects")
-                    worst["worst_variant"] = int(verdict.ratios.argmax())
-                rec.event(
-                    LTE_REJECT,
-                    t_sim=solution.t,
-                    h=h,
-                    h_optimal=verdict.h_optimal,
-                    **worst,
-                )
-            controller.on_reject(h, verdict)
-            continue
+    def run(self) -> TransientResult:
+        """Execute the full transient and package the result."""
+        if self._ran:
+            raise SimulationError(f"{type(self).__name__} instances are single-use")
+        self._ran = True
+        rec = self.recorder
+        tracing = rec.enabled
+        stats = self.stats
+        started = time.perf_counter()
+        run_sid = (
+            rec.begin_span(RUN, kind=self.scheme_name, **self._run_tags)
+            if tracing
+            else 0
+        )
 
-        history.append(solution.to_timepoint())
-        controller.on_accept(h, verdict, hits_bp)
-        if hits_bp:
-            history.mark_era()
-        t = solution.t
-        stats.accepted_points += 1
-        rec_times.append(t)
-        rec_x.append(solution.result.x)
-        step_sizes.append(h)
+        x0, q0 = self._start(stats)
+        self.history.append(Timepoint(0.0, x0, q0, np.zeros_like(x0)))
+        self.times.append(0.0)
+        self.solutions.append(x0)
+
+        budget = MAX_ATTEMPTS_FACTOR * max(
+            int(self.tstop / self.controller.h_rec), 1000
+        )
+        while self.t < self.tstop * (1.0 - END_SLACK):
+            self.attempts += 1
+            if self.attempts > budget:
+                raise TimestepError(
+                    f"attempt budget exhausted at t={self.t:.3e}s "
+                    f"({stats.accepted_points} accepted, "
+                    f"{stats.rejected_points} rejected)"
+                )
+            self.run_stage()
+
+        stats.tran_seconds = time.perf_counter() - started - stats.dcop_seconds
         if tracing:
-            rec.end_span(
-                step_sid, outcome=OUTCOME_ACCEPTED, cost=solution.result.work_units
+            rec.end_span(run_sid, cost=self.run_cost(), accepted=stats.accepted_points)
+        metrics = RunMetrics.from_stats(
+            stats,
+            scheme=self.scheme_name,
+            threads=self.threads,
+            recorder=rec if tracing else None,
+        )
+        return self._package(
+            stats=stats,
+            times=np.array(self.times),
+            step_sizes=np.array(self.step_sizes),
+            options=self.options,
+            metrics=metrics,
+        )
+
+    def run_cost(self) -> float:
+        """Work units the whole run cost (the ``run`` span's cost)."""
+        return self.stats.total_work
+
+    def _package(self, **fields) -> TransientResult:
+        # how ``solutions`` split into traces is the calling shell's business
+        return TransientResult(waveforms=None, **fields)
+
+    def run_stage(self) -> PointSolution:
+        """Advance by one stage; the default is the sequential step.
+
+        Propose, Newton-solve the one candidate inline, verify; returns
+        the candidate (its cost is the whole stage's). An override must
+        make progress or adjust the controller so a later stage can; the
+        attempt budget catches livelock.
+        """
+        h, _ = self.controller.propose(self.t)
+        if self.recorder.enabled:
+            self._step_span = self.recorder.begin_span(
+                TIMESTEP, t_sim=self.t + h, h=h, **self._tags
             )
+        solution = solve_timepoint(
+            self.system,
+            self.history,
+            self.t + h,
+            self.options,
+            self.controller.force_be,
+            self._buffers,
+            self._solver,
+        )
+        self.charge_solution(solution)
+        self.verify_ascending([solution], [h])
+        return solution
+
+    # -- the one accept / reject path ---------------------------------------------
+
+    def verify_ascending(
+        self, solutions, gaps, guard=None, guard_gap=0.0
+    ) -> list[LteVerdict]:
+        """Accept a stage's candidates oldest-first, up to the first failure.
+
+        A candidate is committed iff its Newton solve converged and it
+        passes the LTE test against the live history. A failed candidate
+        discards everything beyond it (those solves depended on the same
+        base but their acceptance would leave a gap in the verified
+        chain); when it is the *first* candidate the controller shrinks
+        and the stage retries — unless the optional *guard* solution, pure
+        insurance consulted only then, converts the reject-and-retry
+        cycle into accepted progress.
+
+        *gaps* carries the planner's exact step per candidate so the
+        controller sees the same floating-point step values whatever the
+        stage width (recomputing them from time differences costs an
+        ulp). Returns the verdicts reached, in candidate order: all
+        accepting except possibly the last, and one short when the
+        failure was a Newton failure.
+        """
+        controller = self.controller
+        # Breakpoint detection must use the stage's true base time:
+        # recomputing it as t_last - gap can land an ulp below the
+        # *previous* breakpoint and misclassify the stage.
+        stage_base = self.t
+        verdicts: list[LteVerdict] = []
+        last = None  # (gap, verdict) of the newest committed candidate
+        failure_verdict = None
+        for sol, gap in zip(solutions, gaps):
+            verdict = self.verdict_for(sol) if sol.converged else None
+            if verdict is not None:
+                verdicts.append(verdict)
+                if verdict.accepted:
+                    self.commit_point(sol, gap, verdict)
+                    last = (gap, verdict)
+                    continue
+            self.record_reject(sol, verdict, gap)
+            failure_verdict = verdict
+            if last is None:
+                salvaged = self._try_guard(guard, guard_gap)
+                guard = None
+                if verdict is None:
+                    if not salvaged:
+                        controller.on_newton_failure(gap)
+                elif salvaged:
+                    controller.h_rec = min(
+                        controller.h_rec, max(verdict.h_optimal, controller.min_step)
+                    )
+                else:
+                    controller.on_reject(gap, verdict)
+            break
+
+        if guard is not None:
+            # Insurance not needed: charged to the stage, nothing committed.
+            self.stats.extra["guards_unused"] = (
+                self.stats.extra.get("guards_unused", 0) + 1
+            )
+        if last is not None:
+            gap, verdict = last
+            hit_bp = self.t >= controller.next_breakpoint(stage_base) * (
+                1.0 - END_SLACK
+            )
+            controller.on_accept(gap, verdict, hit_bp)
+            if hit_bp:
+                self.history.mark_era()
+            if failure_verdict is not None:
+                # A later sibling failed: temper the recommendation with
+                # the information its rejection carries.
+                retry = max(failure_verdict.h_optimal, controller.min_step)
+                controller.h_rec = min(controller.h_rec, retry)
+        return verdicts
+
+    def _try_guard(self, guard, gap: float) -> bool:
+        """Commit a guard (insurance) point if it converged and passes LTE.
+
+        Returns True when the guard was committed: the otherwise-wasted
+        stage made accepted progress after all.
+        """
+        if guard is None or not guard.converged:
+            return False
+        verdict = self.verdict_for(guard)
+        if not verdict.accepted:
+            return False
+        self.commit_point(guard, gap, verdict)
+        self.controller.on_accept(gap, verdict, False)
+        self.stats.extra["guard_salvages"] = (
+            self.stats.extra.get("guard_salvages", 0) + 1
+        )
+        if self.recorder.enabled:
+            self.recorder.count("guard.salvages")
+        return True
+
+    def verdict_for(self, solution: PointSolution) -> LteVerdict:
+        """LTE test of a converged point against the live history,
+        honouring the step it was solved over."""
+        return kernel_for(self.system).verdict(
+            solution.scheme.method_used,
+            solution.scheme.order,
+            self.history,
+            solution.t,
+            solution.result.x,
+            self.system.voltage_mask,
+            self.options,
+            h_solve=solution.scheme.h,
+        )
+
+    def charge_solution(self, solution: PointSolution) -> None:
+        """Book one Newton solve's statistics (not clock time)."""
+        self.stats.newton_iterations += solution.result.iterations
+        self.stats.work_units += solution.result.work_units
+        self.stats.charge_lu(solution.result)
+
+    def commit_point(
+        self, solution: PointSolution, h_taken: float, verdict: LteVerdict
+    ) -> None:
+        """Append an accepted point and record its trace sample."""
+        self.history.append(solution.to_timepoint())
+        self.t = solution.t
+        self.stats.accepted_points += 1
+        self.times.append(self.t)
+        self.solutions.append(solution.result.x)
+        self.step_sizes.append(h_taken)
+        rec = self.recorder
+        if rec.enabled:
+            self.tag_outcome(solution, OUTCOME_ACCEPTED)
             rec.count("points.accepted")
-            rec.observe("step.h_accepted", h)
-            if ensemble:
+            rec.observe("step.h_accepted", h_taken)
+            if self._tags:
                 rec.count("ensemble.points.accepted")
                 if verdict.estimated:
                     rec.observe("ensemble.lte.worst_ratio", verdict.error_ratio)
-            rec.event(STEP_ACCEPT, t_sim=t, h=h)
+            rec.event(STEP_ACCEPT, t_sim=self.t, h=h_taken)
 
-    stats.tran_seconds = time.perf_counter() - started - stats.dcop_seconds
-    if tracing:
-        rec.end_span(
-            run_sid, cost=stats.total_work, accepted=stats.accepted_points
-        )
-    metrics = RunMetrics.from_stats(
-        stats, scheme=scheme, threads=1, recorder=rec if tracing else None
-    )
-    result = TransientResult(
-        waveforms=None,
-        stats=stats,
-        times=np.array(rec_times),
-        step_sizes=np.array(step_sizes),
-        options=options,
-        metrics=metrics,
-    )
-    return result, rec_x
+    def record_reject(
+        self, solution: PointSolution, verdict: LteVerdict | None, gap: float
+    ) -> None:
+        """Book a failed candidate — a Newton failure (*verdict* None) or
+        an LTE rejection — and emit its trace records."""
+        rec = self.recorder
+        if verdict is None:
+            self.stats.newton_failures += 1
+            if rec.enabled:
+                self.tag_outcome(solution, OUTCOME_NEWTON_FAIL)
+            return
+        self.stats.rejected_points += 1
+        if rec.enabled:
+            # The sequential step reports the step it proposed (its open
+            # ``timestep`` span's ``h``, to the bit); a stage task the
+            # distance it integrated over, which for a chain point is not
+            # its gap to the previous candidate.
+            h = gap if self._step_span else solution.scheme.h
+            self.tag_outcome(solution, OUTCOME_LTE_REJECT)
+            rec.count("lte.rejects")
+            worst = {}
+            if self._tags:
+                rec.count("ensemble.lte.rejects")
+                worst["worst_variant"] = int(verdict.ratios.argmax())
+            rec.event(
+                LTE_REJECT, t_sim=solution.t, h=h, h_optimal=verdict.h_optimal, **worst
+            )
+
+    def tag_outcome(self, solution: PointSolution, outcome: str) -> None:
+        """Record a candidate's fate on its span (recorder enabled): the
+        one-wide stage's ``timestep`` span is still open and closes here
+        with its cost; a stage task's span closed on its worker lane and
+        is tagged after the fact."""
+        if self._step_span:
+            self.recorder.end_span(
+                self._step_span, outcome=outcome, cost=solution.result.work_units
+            )
+            self._step_span = 0
+        else:
+            self.recorder.tag_span(getattr(solution, "span_id", None), outcome=outcome)
 
 
 def _build_waveforms(system: MnaSystem, times, xs) -> "WaveformSet":

@@ -30,19 +30,21 @@ enforced.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import time
 
-from repro.instrument import Recorder, use_recorder
+from repro.errors import SimulationError
 from repro.jobs.spec import JobSpec, apply_params
 from repro.jobs.workers import (
-    TELEMETRY_EVENT_TAIL,
-    JobResult,
     deterministic_telemetry,
-    execute_job,
+    job_recorder,
+    job_snapshot,
+    package_job,
+    recorder_scope,
+    resolve_job,
+    run_inline,
+    stat_dump,
 )
-from repro.utils.options import SimOptions
 
 #: Stat fields apportioned across group members (cost counters); the
 #: remaining _STAT_FIELDS are grid-level counts shared verbatim.
@@ -93,8 +95,9 @@ class EnsembleBackend:
     def run(
         self, indexed_specs, timeout, emit, telemetry: bool = False, trace=None
     ) -> None:
-        # trace contexts are accepted for scheduler compatibility but not
-        # bound per job: a lockstep group mixes jobs from many requests.
+        # trace contexts are bound for jobs that run alone only: a
+        # lockstep group mixes jobs from many requests.
+        trace = trace or {}
         groups: dict[str, list[tuple[int, JobSpec]]] = {}
         order: list[str] = []
         for index, spec in indexed_specs:
@@ -111,35 +114,9 @@ class EnsembleBackend:
             members = groups[key]
             while members:
                 chunk, members = members[: self.max_group], members[self.max_group :]
-                if len(chunk) < 2:
-                    self._run_single(*chunk[0], emit, telemetry)
-                    continue
-                if not self._run_group(chunk, emit, telemetry):
+                if len(chunk) < 2 or not self._run_group(chunk, emit, telemetry):
                     for index, spec in chunk:
-                        self._run_single(index, spec, emit, telemetry)
-
-    @staticmethod
-    def _run_single(index: int, spec: JobSpec, emit, telemetry: bool) -> None:
-        """Serial-backend execution path for one unbatchable job."""
-        recorder = (
-            Recorder(max_events=TELEMETRY_EVENT_TAIL, evict="tail")
-            if telemetry
-            else None
-        )
-
-        def snapshot():
-            if recorder is None:
-                return None
-            return recorder.snapshot(events_tail=TELEMETRY_EVENT_TAIL)
-
-        t0 = time.perf_counter()
-        try:
-            result = execute_job(spec, instrument=recorder)
-        except Exception as exc:
-            emit(index, "error", f"{type(exc).__name__}: {exc}",
-                 time.perf_counter() - t0, snapshot())
-        else:
-            emit(index, "ok", result, result.elapsed, snapshot())
+                        run_inline(index, spec, emit, telemetry, trace.get(index))
 
     def _run_group(self, chunk, emit, telemetry: bool) -> bool:
         """One batched solve for *chunk*; False requests per-job fallback.
@@ -151,88 +128,47 @@ class EnsembleBackend:
         from repro.jobs.workers import FAULT_HOOK as fault_hook
 
         specs = [spec for _, spec in chunk]
-        recorder = (
-            Recorder(max_events=TELEMETRY_EVENT_TAIL, evict="tail")
-            if telemetry
-            else None
-        )
+        recorder = job_recorder(telemetry)
         t0 = time.perf_counter()
         try:
             if fault_hook is not None:
                 for spec in specs:
                     fault_hook(spec)
-            built = specs[0].circuit.build()
+            # a spec without a window raises here: surfaced, like any
+            # other failure, through the per-job fallback
+            built, tstop, tstep, options = resolve_job(specs[0])
             circuits = [apply_params(built.circuit, spec.params) for spec in specs]
-            tstop = specs[0].tstop if specs[0].tstop is not None else built.tstop
-            if tstop is None or tstop <= 0:
-                return False  # surface the error through the scalar path
-            tstep = specs[0].tstep if specs[0].tstep is not None else built.tstep
-            options = built.options or SimOptions()
-            if specs[0].options:
-                options = options.replace(**specs[0].options)
-            sim_scope = (
-                use_recorder(recorder)
-                if recorder is not None
-                else contextlib.nullcontext()
-            )
             if recorder is not None:
                 recorder.count("ensemble.batches")
-            with sim_scope:
+            with recorder_scope(recorder):
                 result = run_ensemble_transient(
                     circuits, tstop, tstep, options=options, instrument=recorder
                 )
         except Exception:
             return False
 
-        elapsed = time.perf_counter() - t0
         sims = len(specs)
-        share = elapsed / sims
+        share = (time.perf_counter() - t0) / sims
         stats = result.stats
-        times = [float(t) for t in result.times]
         group_telemetry = deterministic_telemetry(recorder)
-        snapshot = (
-            recorder.snapshot(events_tail=TELEMETRY_EVENT_TAIL)
-            if recorder is not None
-            else None
-        )
+        snapshot = job_snapshot(recorder)
         for k, (index, spec) in enumerate(chunk):
-            variant = result.variants[k]
-            waveforms = variant.waveforms
-            names = list(spec.signals) if spec.signals is not None else None
-            if names is None and built.signals is not None:
-                names = list(built.signals)
-            if names is None:
-                names = [n for n in waveforms.names if n.startswith("v")]
-            missing = [n for n in names if n not in waveforms]
-            if missing:
-                emit(
-                    index,
-                    "error",
-                    f"job {spec.label!r}: no trace(s) named {missing} in the result",
-                    share,
-                    snapshot if k == 0 else None,
-                )
-                continue
-            stat_dump = {
-                "accepted_points": stats.accepted_points,
-                "rejected_points": stats.rejected_points,
-                "newton_failures": stats.newton_failures,
-                "newton_iterations": stats.newton_iterations,
-                "work_units": stats.work_units / sims,
-            }
+            member_stats = stat_dump(stats)
+            member_stats["work_units"] = stats.work_units / sims
             for field in _APPORTIONED_INT_FIELDS:
-                stat_dump[field] = _apportion(getattr(stats, field), sims, k)
-            job_result = JobResult(
-                spec_hash=spec.content_hash(),
-                label=spec.label,
-                analysis=spec.analysis,
-                final_time=float(result.final_time),
-                times=times,
-                signals={n: [float(v) for v in waveforms[n].values] for n in names},
-                stats=stat_dump,
-                telemetry=group_telemetry if k == 0 else None,
-                elapsed=share,
-            )
+                member_stats[field] = _apportion(getattr(stats, field), sims, k)
+            try:
+                job_result = package_job(
+                    spec,
+                    built,
+                    result.variants[k],
+                    member_stats,
+                    group_telemetry if k == 0 else None,
+                    share,
+                )
+            except SimulationError as exc:  # a requested trace is missing
+                emit(index, "error", str(exc), share, snapshot if k == 0 else None)
+                continue
             emit(index, "ok", job_result, share, snapshot if k == 0 else None)
         return True
 

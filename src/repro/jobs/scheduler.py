@@ -32,15 +32,9 @@ from multiprocessing import connection as mp_connection
 
 from repro.errors import SimulationError
 from repro.instrument.events import JOB_RUN
-from repro.instrument.recorder import Recorder, resolve_recorder
-from repro.instrument.tracectx import TraceContext, use_trace
+from repro.instrument.recorder import resolve_recorder
 from repro.jobs.spec import JobSpec
-from repro.jobs.workers import (
-    TELEMETRY_EVENT_TAIL,
-    JobResult,
-    execute_job,
-    worker_main,
-)
+from repro.jobs.workers import JobResult, run_inline, worker_main
 
 #: Upper bound on one supervisor wait; keeps timeout enforcement and new
 #: job dispatch responsive even when no pipe becomes ready.
@@ -89,27 +83,7 @@ class SerialBackend:
         self, indexed_specs, timeout, emit, telemetry: bool = False, trace=None
     ) -> None:
         for index, spec in indexed_specs:
-            recorder = (
-                Recorder(max_events=TELEMETRY_EVENT_TAIL, evict="tail")
-                if telemetry
-                else None
-            )
-
-            def snapshot():
-                if recorder is None:
-                    return None
-                return recorder.snapshot(events_tail=TELEMETRY_EVENT_TAIL)
-
-            ctx = TraceContext.from_dict((trace or {}).get(index))
-            t0 = time.perf_counter()
-            try:
-                with use_trace(ctx):
-                    result = execute_job(spec, instrument=recorder)
-            except Exception as exc:
-                emit(index, "error", f"{type(exc).__name__}: {exc}",
-                     time.perf_counter() - t0, snapshot())
-            else:
-                emit(index, "ok", result, result.elapsed, snapshot())
+            run_inline(index, spec, emit, telemetry, (trace or {}).get(index))
 
     def close(self) -> None:
         pass

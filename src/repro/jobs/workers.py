@@ -141,6 +141,87 @@ def deterministic_telemetry(recorder) -> dict | None:
     return out
 
 
+def job_recorder(telemetry: bool) -> Recorder | None:
+    """Per-job telemetry recorder: a tail ring buffer, or None when off."""
+    if not telemetry:
+        return None
+    return Recorder(max_events=TELEMETRY_EVENT_TAIL, evict="tail")
+
+
+def job_snapshot(recorder: Recorder | None) -> dict | None:
+    """The recorder's portable snapshot (None with telemetry off)."""
+    if recorder is None:
+        return None
+    return recorder.snapshot(events_tail=TELEMETRY_EVENT_TAIL)
+
+
+def recorder_scope(recorder):
+    """Scope running the engine under *recorder*; inert when it is None."""
+    if recorder is None:
+        return contextlib.nullcontext()
+    return use_recorder(recorder)
+
+
+def resolve_job(spec: JobSpec):
+    """Spec-resolution half of a job: ``(built, tstop, tstep, options)``.
+
+    *built* is the spec's circuit reference, built but without the spec's
+    ``params`` applied — the lockstep backend resolves one spec per group
+    and applies each member's overrides to the same base circuit.
+    """
+    built = spec.circuit.build()
+    tstop = spec.tstop if spec.tstop is not None else built.tstop
+    if tstop is None or tstop <= 0:
+        raise SimulationError(
+            f"job {spec.label or spec.circuit.describe!r} has no tstop (neither "
+            "the spec nor the circuit reference provides a transient window)"
+        )
+    tstep = spec.tstep if spec.tstep is not None else built.tstep
+    options = built.options or SimOptions()
+    if spec.options:
+        options = options.replace(**spec.options)
+    return built, tstop, tstep, options
+
+
+def stat_dump(stats) -> dict:
+    """The deterministic counting stats of a run (``_STAT_FIELDS`` order)."""
+    return {
+        name: getattr(stats, name)
+        for name in _STAT_FIELDS
+        if getattr(stats, name, None) is not None
+    }
+
+
+def package_job(
+    spec: JobSpec, built, result, stats: dict, telemetry, elapsed: float
+) -> JobResult:
+    """Result-packaging half of a job: resolve the recorded traces of
+    *result* (a transient result, or one variant of an ensemble's) and
+    build the payload. Raises when a requested trace does not exist."""
+    waveforms = result.waveforms
+    names = list(spec.signals) if spec.signals is not None else None
+    if names is None and built.signals is not None:
+        names = list(built.signals)
+    if names is None:
+        names = [n for n in waveforms.names if n.startswith("v")]
+    missing = [n for n in names if n not in waveforms]
+    if missing:
+        raise SimulationError(
+            f"job {spec.label!r}: no trace(s) named {missing} in the result"
+        )
+    return JobResult(
+        spec_hash=spec.content_hash(),
+        label=spec.label,
+        analysis=spec.analysis,
+        final_time=float(result.final_time),
+        times=[float(t) for t in waveforms.times],
+        signals={n: [float(v) for v in waveforms[n].values] for n in names},
+        stats=stats,
+        telemetry=telemetry,
+        elapsed=elapsed,
+    )
+
+
 def execute_job(spec: JobSpec, instrument=None) -> JobResult:
     """Run one job in the current process and return its result.
 
@@ -158,22 +239,9 @@ def execute_job(spec: JobSpec, instrument=None) -> JobResult:
     if FAULT_HOOK is not None:
         FAULT_HOOK(spec)
     t0 = time.perf_counter()
-    built = spec.circuit.build()
+    built, tstop, tstep, options = resolve_job(spec)
     circuit = apply_params(built.circuit, spec.params)
-    tstop = spec.tstop if spec.tstop is not None else built.tstop
-    if tstop is None or tstop <= 0:
-        raise SimulationError(
-            f"job {spec.label or spec.circuit.describe!r} has no tstop (neither "
-            "the spec nor the circuit reference provides a transient window)"
-        )
-    tstep = spec.tstep if spec.tstep is not None else built.tstep
-    options = built.options or SimOptions()
-    if spec.options:
-        options = options.replace(**spec.options)
-    sim_scope = (
-        use_recorder(instrument) if instrument is not None else contextlib.nullcontext()
-    )
-    with sim_scope:
+    with recorder_scope(instrument):
         result = simulate(
             circuit,
             analysis=spec.analysis,
@@ -183,34 +251,33 @@ def execute_job(spec: JobSpec, instrument=None) -> JobResult:
             threads=spec.threads,
             scheme=spec.scheme,
         )
-    waveforms = result.waveforms
-    names = list(spec.signals) if spec.signals is not None else None
-    if names is None and built.signals is not None:
-        names = list(built.signals)
-    if names is None:
-        names = [n for n in waveforms.names if n.startswith("v")]
-    missing = [n for n in names if n not in waveforms]
-    if missing:
-        raise SimulationError(
-            f"job {spec.label!r}: no trace(s) named {missing} in the result"
-        )
-    stats = result.stats
-    stat_dump = {
-        name: getattr(stats, name)
-        for name in _STAT_FIELDS
-        if getattr(stats, name, None) is not None
-    }
-    return JobResult(
-        spec_hash=spec.content_hash(),
-        label=spec.label,
-        analysis=spec.analysis,
-        final_time=float(result.final_time),
-        times=[float(t) for t in waveforms.times],
-        signals={n: [float(v) for v in waveforms[n].values] for n in names},
-        stats=stat_dump,
-        telemetry=deterministic_telemetry(instrument),
-        elapsed=time.perf_counter() - t0,
+    return package_job(
+        spec,
+        built,
+        result,
+        stat_dump(result.stats),
+        deterministic_telemetry(instrument),
+        time.perf_counter() - t0,
     )
+
+
+def run_inline(index: int, spec: JobSpec, emit, telemetry: bool, trace=None) -> None:
+    """Run one job in this process and emit its outcome.
+
+    The serial backend's per-job body, and the path the lockstep backend
+    takes for a job it cannot batch. *trace* is the job's trace-context
+    dict, if any (bound as in :func:`worker_main`).
+    """
+    recorder = job_recorder(telemetry)
+    t0 = time.perf_counter()
+    try:
+        with use_trace(TraceContext.from_dict(trace)):
+            result = execute_job(spec, instrument=recorder)
+    except Exception as exc:
+        emit(index, "error", f"{type(exc).__name__}: {exc}",
+             time.perf_counter() - t0, job_snapshot(recorder))
+    else:
+        emit(index, "ok", result, result.elapsed, job_snapshot(recorder))
 
 
 class _Terminated(BaseException):
@@ -243,15 +310,7 @@ def worker_main(
     never enters the result payload — cached bytes stay identical no
     matter who asked.
     """
-    recorder = (
-        Recorder(max_events=TELEMETRY_EVENT_TAIL, evict="tail") if telemetry else None
-    )
-
-    def snapshot():
-        if recorder is None:
-            return None
-        return recorder.snapshot(events_tail=TELEMETRY_EVENT_TAIL)
-
+    recorder = job_recorder(telemetry)
     t0 = time.perf_counter()
     try:
         signal.signal(signal.SIGTERM, _on_sigterm)
@@ -262,7 +321,7 @@ def worker_main(
         spec = JobSpec.from_dict(spec_dict)
         with use_trace(TraceContext.from_dict(trace)):
             result = execute_job(spec, instrument=recorder)
-        message = ("ok", result.to_dict(), result.elapsed, snapshot())
+        message = ("ok", result.to_dict(), result.elapsed, job_snapshot(recorder))
         send_in_flight = True
         conn.send(message)
         send_in_flight = False
@@ -278,7 +337,7 @@ def worker_main(
                         "error",
                         traceback.format_exc(),
                         time.perf_counter() - t0,
-                        snapshot(),
+                        job_snapshot(recorder),
                     )
                 )
             except (BrokenPipeError, OSError):  # parent gone: nothing to report

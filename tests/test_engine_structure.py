@@ -1,0 +1,88 @@
+"""Tier-1 structural guard: one time loop, one accept/reject path.
+
+The paper's "no loss of accuracy or convergence" claim rests on every
+accepted point — sequential or pipelined — passing the same Newton and
+LTE test. That is a property of the *code shape*: the transient engine
+owns the only time loop and the only routine that talks to the step
+controller about a candidate's fate, and the WavePipe schemes inherit
+both. A second loop or a scheme-private accept path would compile and
+pass the numeric tests until it drifted; this AST check (no simulation,
+well under a second) fails the moment one appears.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: Where a controller accept/reject transition may be issued from: the
+#: shared routine, its guard fallback, and the forward schemes'
+#: corrective re-solve.
+ACCEPT_PATHS = {"verify_ascending", "_try_guard", "corrective_commit"}
+
+
+def _reads(node: ast.AST, name: str) -> bool:
+    return any(
+        (isinstance(n, ast.Name) and n.id == name)
+        or (isinstance(n, ast.Attribute) and n.attr == name)
+        for n in ast.walk(node)
+    )
+
+
+def _scan():
+    """(time loops, {controller method: [enclosing function, ...]})."""
+    loops: list[str] = []
+    calls: dict[str, list[str]] = {
+        "on_newton_failure": [], "on_reject": [], "on_accept": [],
+    }
+    for package in ("engine", "core"):
+        for path in sorted((SRC / package).glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                where = f"{package}/{path.name}:{func.name}"
+                for node in ast.walk(func):
+                    if isinstance(node, ast.While) and _reads(node.test, "tstop"):
+                        loops.append(where)
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in calls
+                    ):
+                        calls[node.func.attr].append(where)
+    return loops, calls
+
+
+LOOPS, CALLS = _scan()
+
+
+def test_one_time_loop_on_the_base_engine():
+    assert LOOPS == ["engine/transient.py:run"]
+
+
+def test_one_newton_failure_call_site():
+    assert CALLS["on_newton_failure"] == ["engine/transient.py:verify_ascending"]
+
+
+def test_accept_and_reject_only_on_the_shared_path():
+    calls = CALLS
+    sites = calls["on_reject"] + calls["on_accept"]
+    assert sites, "the engine no longer reports to the step controller?"
+    assert {site.rsplit(":", 1)[1] for site in sites} <= ACCEPT_PATHS
+    # the routine itself lives on the base engine, not on a scheme
+    assert "engine/transient.py:verify_ascending" in calls["on_accept"]
+    assert "engine/transient.py:verify_ascending" in calls["on_reject"]
+
+
+def test_schemes_inherit_the_loop():
+    """``PipelineEngine.run`` resolves (the frozen wallbench tracer wraps
+    it by that name) but is the base engine's, not a second definition."""
+    from repro.core.pipeline import PipelineEngine
+    from repro.core.wavepipe import SCHEMES
+    from repro.engine.transient import TransientEngine
+
+    for cls in (PipelineEngine, *SCHEMES.values()):
+        assert issubclass(cls, TransientEngine)
+        assert cls.run is TransientEngine.run
+        assert cls.verify_ascending is TransientEngine.verify_ascending

@@ -108,6 +108,19 @@ class TestReportContent:
         assert report.critical_path["critical_lane"] == 0
         assert report.spans["malformed"] == 0
 
+    def test_one_wide_pipeline_is_bounded_by_its_timesteps(self):
+        """threads=1: each stage holds the sequential step's one
+        ``timestep`` span instead of worker-lane tasks, and that span
+        bounds it — same total as the sequential trace, on lane 0."""
+        seq = Recorder()
+        run_transient(stiff_circuit(), TSTOP, instrument=seq)
+        sequential = explain_recorder(seq).critical_path
+        cp = explain_recorder(traced_run("backward", threads=1)).critical_path
+        assert cp["kind"] == "pipeline"
+        assert cp["critical_lane"] == 0
+        assert cp["stages"] == sequential["stages"]
+        assert cp["bounding_cost_total"] == sequential["bounding_cost_total"] > 0
+
     def test_campaign_trace_ranks_jobs(self):
         rec = Recorder()
         with rec.tree_span("campaign_run", campaign="demo"):

@@ -28,7 +28,7 @@ from repro.verify.oracle import (
 )
 
 #: Single-scheme / single-family settings keep real oracle runs in this
-#: module around a second each instead of a full 17-config lattice.
+#: module around a second each instead of a full 20-config lattice.
 FAST = dict(schemes=["combined"], chaos=False)
 
 
@@ -59,8 +59,8 @@ class TestToleranceLadder:
 class TestConfigurationLattice:
     def test_full_lattice_shape(self):
         configs = configuration_lattice()
-        # 2 sequential + 3 schemes x 2 executors x 2 reuse + 3 chaos
-        assert len(configs) == 2 + 12 + 3
+        # 2 sequential + 3 schemes x 2 executors x 2 reuse + 3 one-wide + 3 chaos
+        assert len(configs) == 2 + 12 + 3 + 3
         assert configs[0] == ConfigSpec("sequential", reuse=False)
         labels = [c.label for c in configs]
         assert len(set(labels)) == len(labels)  # all distinct
@@ -72,8 +72,11 @@ class TestConfigurationLattice:
 
     def test_scheme_subset(self):
         configs = configuration_lattice(chaos=False, schemes=["combined"])
-        assert len(configs) == 2 + 4
+        assert len(configs) == 2 + 4 + 1
         assert {c.analysis for c in configs} == {"sequential", "combined"}
+        assert [c.label for c in configs if c.one_wide] == [
+            "combined/serialx1[reuse=off]"
+        ]
 
     def test_unknown_scheme_raises(self):
         with pytest.raises(SimulationError, match="unknown WavePipe scheme"):
@@ -97,8 +100,12 @@ class TestVerifyCircuit:
         assert report.passed, report.summary()
         assert report.reference == "sequential[reuse=off]"
         assert report.reference_points > 0
-        # sequential reuse=on + 4 combined + 1 chaos candidate
-        assert len(report.configs) == 6
+        # sequential reuse=on + 4 combined + 1 one-wide + 1 chaos candidate
+        assert len(report.configs) == 7
+        # the one-wide point shares the sequential stage: exact, not "close"
+        [one_wide] = [r for r in report.configs if "x1" in r.config]
+        assert one_wide.tier == "exact" and one_wide.worst_relative == 0.0
+        assert one_wide.accepted_points == report.reference_points
         for result in report.configs:
             assert result.tier != "beyond"
             assert result.accepted_points > 0
@@ -112,7 +119,7 @@ class TestVerifyCircuit:
         rec = Recorder(capture_events=True)
         verify_circuit(rc_circuit, tstop=4e-6, instrument=rec, **FAST)
         assert rec.counter("verify.circuits") == 1
-        assert rec.counter("verify.configs_run") == 6
+        assert rec.counter("verify.configs_run") == 7
         assert rec.counter("verify.circuits_passed") == 1
         [event] = [e for e in rec.events if e.name == "verify_trial"]
         assert event.attrs["passed"] is True

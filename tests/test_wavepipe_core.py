@@ -11,6 +11,9 @@ The load-bearing correctness properties:
   work, wasted solves are charged, stage widths respect the thread count.
 """
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -20,8 +23,10 @@ from repro.core.backward import BackwardPipeline, plan_backward_targets
 from repro.core.combined import CombinedPipeline
 from repro.core.forward import ForwardPipeline
 from repro.core.wavepipe import compare_with_sequential, run_wavepipe
-from repro.engine.transient import run_transient
+from repro.circuits.registry import get_benchmark
+from repro.engine.transient import TransientStats, run_transient
 from repro.errors import SimulationError
+from repro.instrument import Recorder
 from repro.mna.compiler import compile_circuit
 from repro.utils.options import SimOptions
 from repro.waveform.waveform import compare, worst_deviation
@@ -43,6 +48,21 @@ def chain_circuit():
 
 GRID_TSTOP = 25e-9
 CHAIN_TSTOP = 25e-9
+
+#: Every ``TransientStats`` field that counts something (wall seconds and
+#: the free-form ``extra`` dict excluded).
+COUNT_FIELDS = [
+    f.name
+    for f in dataclasses.fields(TransientStats)
+    if f.name not in ("dcop_seconds", "tran_seconds", "extra")
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _registry_sequential(name: str, reuse: bool):
+    bench = get_benchmark(name)
+    options = bench.options.replace(jacobian_reuse=reuse)
+    return run_transient(bench.build(), bench.tstop, tstep=bench.tstep, options=options)
 
 
 class TestPlanBackwardTargets:
@@ -99,6 +119,32 @@ class TestSchemeInvariants:
             np.testing.assert_array_equal(
                 seq.waveforms[name].values, pipe.waveforms[name].values
             )
+
+    @pytest.mark.parametrize("reuse", [False, True], ids=["reuse_off", "reuse_on"])
+    @pytest.mark.parametrize("name", ["rectifier", "mixer", "invchain8", "rlcline8"])
+    def test_single_thread_retraces_sequential(self, engine_cls, name, reuse):
+        """Breakpoints, limiting and rejections included: at threads=1 a
+        scheme runs the sequential engine's own one-wide stage — one
+        buffer set, one solver kept across time points — so the grid,
+        every waveform, every count and the virtual clock agree to the
+        bit, with factor reuse on as well as off."""
+        bench = get_benchmark(name)
+        options = bench.options.replace(jacobian_reuse=reuse)
+        seq = _registry_sequential(name, reuse)
+        pipe = engine_cls(
+            bench.build(), bench.tstop, threads=1, tstep=bench.tstep, options=options
+        ).run()
+        np.testing.assert_array_equal(seq.times, pipe.times)
+        np.testing.assert_array_equal(seq.step_sizes, pipe.step_sizes)
+        assert seq.waveforms.names == pipe.waveforms.names
+        for signal in seq.waveforms.names:
+            np.testing.assert_array_equal(
+                seq.waveforms[signal].values, pipe.waveforms[signal].values
+            )
+        for field in COUNT_FIELDS:
+            assert getattr(pipe.stats, field) == getattr(seq.stats, field), field
+        assert pipe.stats.virtual_total == seq.stats.total_work
+        assert pipe.stats.wasted_solves == 0 and pipe.stats.clock.peak_width == 1
 
     def test_accuracy_within_tolerance(self, engine_cls, chain_circuit):
         """Digital signals: pointwise deviation at a 100 ps edge explodes
@@ -272,3 +318,29 @@ class TestApi:
         c.add_capacitor("C1", "out", "0", 1e-9, ic=1.0)
         result = run_wavepipe(c, 3e-6, scheme="backward", threads=2, uic=True)
         assert result.waveforms.voltage("out").at(0.0) == pytest.approx(1.0)
+
+
+class TestLuAccounting:
+    """``stats.lu_*`` is the recorder's ``lu.*``: every solve that runs —
+    stage tasks, the sequential step, corrective re-solves — is booked
+    through the one ``charge_solution``."""
+
+    @pytest.mark.parametrize("name", ["invchain8", "mixer"])
+    @pytest.mark.parametrize("analysis", ["sequential", "backward", "forward", "combined"])
+    def test_stats_equal_recorder_counters(self, analysis, name):
+        bench = get_benchmark(name)
+        rec = Recorder(capture_events=False)
+        if analysis == "sequential":
+            result = run_transient(
+                bench.build(), bench.tstop, tstep=bench.tstep,
+                options=bench.options, instrument=rec,
+            )
+        else:
+            result = run_wavepipe(
+                bench.build(), bench.tstop, scheme=analysis, threads=3,
+                tstep=bench.tstep, options=bench.options, instrument=rec,
+            )
+        assert result.stats.lu_factors == rec.counter("lu.factor")
+        assert result.stats.lu_solves == rec.counter("lu.solve")
+        assert result.stats.lu_reuse_hits == rec.counter("lu.reuse_hit")
+        assert result.metrics.lu_factors == result.stats.lu_factors
