@@ -8,6 +8,12 @@ bank's ``eval``, ``MnaSystem.jacobian``, ``LinearSolver.factor`` and
 ``LinearSolver.resolve``. Each figure is the best of 5 repeats of
 *calls* back-to-back calls, in microseconds per call.
 
+The ``grid32`` row is the sparse and export end of the size ladder: the
+1 025-unknown RC grid of the ``grid_seq`` workload, timing the SuperLU
+``factor`` and ``resolve`` and ``to_csv_text`` of its 10 ns transient.
+Those calls cost milliseconds, so the row runs ``calls // 100`` of them
+(at least 2; its own ``calls`` field says how many).
+
 These are warm-cache *floors*: in situ each layer reads about 2x its
 floor (docs/performance.md "Where the time goes"), so use them as
 shares and ratios between commits, not as totals. Informational — CI
@@ -21,16 +27,22 @@ import json
 import sys
 import timeit
 
+from repro.circuits.interconnect import rc_grid
 from repro.circuits.registry import get_benchmark
+from repro.engine.transient import run_transient
 from repro.linalg.solve import LinearSolver
 from repro.mna.compiler import compile_circuit
 from repro.mna.system import MnaSystem
 from repro.solver.dcop import solve_operating_point
+from repro.waveform.export import to_csv_text
 
 CIRCUITS = ("ring9", "nandchain6", "mixer", "invchain8", "rcladder20")
 REPEATS = 5
 #: Transient-like leading coefficient (1 / 0.5 ns) so the C stream is assembled.
 ALPHA0 = 2.0e9
+#: The ``grid_seq`` deck: a 32 x 32 RC grid simulated for 10 ns.
+GRID_SIZE = 32
+GRID_TSTOP = 10e-9
 
 
 def floor_us(func, calls: int) -> float:
@@ -65,6 +77,28 @@ def circuit_floors(name: str, calls: int) -> dict:
     return row
 
 
+def grid_floors(calls: int) -> dict:
+    circuit = rc_grid(GRID_SIZE, GRID_SIZE)
+    system = MnaSystem(compile_circuit(circuit))
+    x = solve_operating_point(system).x
+    out = system.make_buffers()
+    system.eval(x, 0.0, out)
+    rhs = -system.resistive_residual(out, x)
+    jac = system.jacobian(out, ALPHA0)
+    solver = LinearSolver(system.unknown_names)
+    solver.factor(jac)
+    waveforms = run_transient(circuit, GRID_TSTOP).waveforms
+    calls = max(calls // 100, 2)
+    return {
+        "unknowns": system.n,
+        "nnz": system.pattern.nnz,
+        "calls": calls,
+        "factor": floor_us(lambda: solver.factor(jac), calls),
+        "resolve": floor_us(lambda: solver.resolve(rhs), calls),
+        "to_csv_text": floor_us(lambda: to_csv_text(waveforms), calls),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--calls", type=int, default=2000, help="calls per repeat")
@@ -75,7 +109,10 @@ def main(argv: list[str] | None = None) -> int:
         "unit": "us_per_call",
         "calls": args.calls,
         "repeats": REPEATS,
-        "circuits": {name: circuit_floors(name, args.calls) for name in CIRCUITS},
+        "circuits": {
+            **{name: circuit_floors(name, args.calls) for name in CIRCUITS},
+            "grid32": grid_floors(args.calls),
+        },
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)

@@ -482,9 +482,10 @@ def table_r9(names=None, repeats=2, exp_id="table_r9") -> ExperimentResult:
     """Extension: solve-cost ablation of factorisation reuse.
 
     Runs each circuit sequentially with ``jacobian_reuse`` off (the
-    bit-exact full-Newton reference) and on (the modified-Newton
-    Jacobian bypass), comparing transient wall time,
-    factorisation counts, reuse hit rate and waveform deviation. Wall
+    full-Newton reference) and on (the modified-Newton Jacobian
+    bypass), comparing transient wall time, factorisation counts, reuse
+    hit rate and waveform deviation. Linear circuits reuse exact factors
+    either way, so their two columns differ only in factor counts. Wall
     times are best-of-*repeats* to suppress scheduler noise.
     """
     names = names or list(BENCHMARKS)

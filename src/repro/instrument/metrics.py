@@ -117,7 +117,8 @@ class RunMetrics:
     @property
     def reuse_hit_rate(self) -> float:
         """Back-solves served by reused factors, as a fraction of all
-        back-solves (0.0 with jacobian_reuse off)."""
+        back-solves (0.0 with jacobian_reuse off on a nonlinear circuit;
+        a linear one reuses exact factors within each solve regardless)."""
         if self.lu_solves <= 0:
             return 0.0
         return self.lu_reuse_hits / self.lu_solves

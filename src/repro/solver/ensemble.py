@@ -40,7 +40,7 @@ from repro.devices.base import EvalOutputs
 from repro.errors import SingularMatrixError
 from repro.linalg.solve import BlockSolver
 from repro.mna.ensemble import EnsembleSystem
-from repro.solver.newton import NewtonResult, eval_factor, instrumented_solve
+from repro.solver.newton import NewtonResult, eval_factor, factor_key, instrumented_solve
 from repro.utils.options import SimOptions
 
 
@@ -103,8 +103,8 @@ def _ensemble_iterate(
     solver = solver or BlockSolver(sims, system.unknown_names)
     max_iters = iter_cap if iter_cap is not None else opts.max_newton_iters
 
-    reuse = opts.jacobian_reuse
-    key = (system.pattern, alpha0, system.gshunt) if reuse else None
+    exact = not system.has_nonlinear
+    key = factor_key(system, alpha0, opts.jacobian_reuse)
     f0 = solver.factor_count
     s0 = solver.solve_count
     rh0 = solver.reuse_hits
@@ -156,13 +156,14 @@ def _ensemble_iterate(
         bypass = np.zeros(sims, dtype=bool)
         for k in np.nonzero(active)[0]:
             sk = solver.solvers[k]
-            bk = reuse and allow_bypass[k] and sk.matches(key)
-            if bk and opts.refactor_every > 0 and sk.bypass_streak >= opts.refactor_every:
-                bk = False
-            if bk and residual_norms[k] > opts.reuse_stall_ratio * prev_norm[k]:
-                bk = False
-                allow_bypass[k] = False
-                fallbacks += 1
+            bk = allow_bypass[k] and sk.matches(key)
+            if bk and not exact:
+                if opts.refactor_every > 0 and sk.bypass_streak >= opts.refactor_every:
+                    bk = False
+                elif residual_norms[k] > opts.reuse_stall_ratio * prev_norm[k]:
+                    bk = False
+                    allow_bypass[k] = False
+                    fallbacks += 1
             bypass[k] = bk
         prev_norm[active] = residual_norms[active]
 

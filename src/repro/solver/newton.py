@@ -108,6 +108,24 @@ def eval_factor(system: MnaSystem) -> float:
     return 1.0 + ENSEMBLE_EVAL_MARGIN * (system.sims - 1)
 
 
+def factor_key(system: MnaSystem, alpha0: float, reuse: bool):
+    """The key one Newton solve tags its factors with (None: never reuse).
+
+    With *reuse* on, factors carry across solves under the same pattern
+    (by identity), alpha0 and gshunt (gmin stepping mutates it). A linear
+    system's Jacobian is its static stamps alone, so there any match is
+    the exact operator, and with *reuse* off it still reuses the first
+    iteration's factors for the rest of the solve. That key is private to
+    the solve: a sequential run keeps one solver for the whole run while
+    pipelined tasks each get a fresh one, so unconditional hits across
+    solves would price the sequential baseline below the same solves
+    pipelined.
+    """
+    if reuse:
+        return (system.pattern, alpha0, system.gshunt)
+    return None if system.has_nonlinear else object()
+
+
 def newton_solve(
     system: MnaSystem,
     t: float,
@@ -245,11 +263,9 @@ def _newton_iterate(
     per_iter = iteration_work(system)
     per_iter_bypassed = iteration_work(system, bypassed=True)
 
-    reuse = opts.jacobian_reuse
-    # Factors are only reusable against the same linearised operator:
-    # same pattern (by identity), same alpha0, same gshunt (gmin stepping
-    # mutates it). Reuse-off keeps key=None so matches() never fires.
-    key = (system.pattern, alpha0, system.gshunt) if reuse else None
+    # Exact factors need no stall guard or cap: those protect stale ones.
+    exact = not system.has_nonlinear
+    key = factor_key(system, alpha0, opts.jacobian_reuse)
     f0 = solver.factor_count
     s0 = solver.solve_count
     rh0 = solver.reuse_hits
@@ -301,15 +317,17 @@ def _newton_iterate(
                           failure="residual diverged (non-finite)")
 
         # Jacobian bypass: back-solve against the previous factors while
-        # they match this operator and the residual keeps contracting.
-        bypass = reuse and allow_bypass and solver.matches(key)
-        if bypass and opts.refactor_every > 0 and solver.bypass_streak >= opts.refactor_every:
-            bypass = False
-        if bypass and residual_norm > opts.reuse_stall_ratio * prev_norm:
-            # Stale factors stopped paying for themselves: refactor now.
-            bypass = False
-            allow_bypass = False
-            fallbacks += 1
+        # they match this operator — always when they are exact, else
+        # while the residual keeps contracting.
+        bypass = allow_bypass and solver.matches(key)
+        if bypass and not exact:
+            if opts.refactor_every > 0 and solver.bypass_streak >= opts.refactor_every:
+                bypass = False
+            elif residual_norm > opts.reuse_stall_ratio * prev_norm:
+                # Stale factors stopped paying for themselves: refactor now.
+                bypass = False
+                allow_bypass = False
+                fallbacks += 1
         prev_norm = residual_norm
 
         work += per_iter_bypassed if bypass else per_iter

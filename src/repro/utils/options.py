@@ -82,14 +82,20 @@ class SimOptions:
             step_ratio_max * h`` — i.e. real headroom beyond the ratio
             cap, which separates genuine post-event ramps from LTE
             blind spots on oscillatory waveforms.
-        jacobian_reuse: enable the modified-Newton "Jacobian bypass" —
-            back-solve against the previous LU factors, while they match
-            the linearised operator and the residual keeps contracting,
-            instead of refactoring every iteration. The only lever in
-            the assembly/factor path that changes iteration counts, and
-            so the only one with a switch (static linear-device stamps
-            and in-place assembly are unconditional). Off by default:
-            the reuse-off path is the bit-exact full-Newton reference.
+        jacobian_reuse: enable the modified-Newton "Jacobian bypass" on
+            nonlinear systems — back-solve against the previous LU
+            factors, while they match the linearised operator and the
+            residual keeps contracting, instead of refactoring every
+            iteration. The only lever in the assembly/factor path that
+            changes iteration counts, and so the only one with a switch
+            (static linear-device stamps, in-place assembly and exact
+            reuse are unconditional: a linear system's later Newton
+            iterations always back-solve through the factors of the
+            solve's first, which are its exact operator). On a linear
+            system the switch only lets those exact factors carry
+            across solves, which saves factorisations but changes no
+            result. Off by default: the reuse-off path is the
+            full-Newton reference.
         reuse_stall_ratio: while bypassing, the residual must contract
             by at least this factor per iteration
             (``|F_k| <= reuse_stall_ratio * |F_{k-1}|``); a stall forces
@@ -103,9 +109,8 @@ class SimOptions:
             residual contracts slowly but monotonically under stale
             factors — slow enough to waste iterations, not slow enough
             to trip the stall ratio. The default of 2 is uniformly
-            profitable across the registry circuits; purely linear
-            systems rarely reach the cap (every step-size change
-            refactors anyway).
+            profitable across the registry circuits. Like
+            ``reuse_stall_ratio`` it governs the nonlinear bypass only.
         instrument: optional :class:`~repro.instrument.Recorder` every
             layer reports into (None falls back to the process-global
             default, a NullRecorder unless someone installed one).

@@ -16,6 +16,9 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.waveform.waveform import WaveformSet
 
+#: Rows formatted per ``repr`` call by :func:`write_csv`.
+_CHUNK_ROWS = 16
+
 
 def write_csv(waveforms: WaveformSet, target, signals: list[str] | None = None) -> None:
     """Write *waveforms* as CSV to *target* (path or text file object).
@@ -27,13 +30,20 @@ def write_csv(waveforms: WaveformSet, target, signals: list[str] | None = None) 
     for name in names:
         if name not in waveforms:
             raise SimulationError(f"cannot export unknown trace {name!r}")
-    columns = [waveforms[name].values for name in names]
+    table = np.column_stack([waveforms.times] + [waveforms[name].values for name in names])
+    if np.iscomplexobj(table):
+        raise TypeError("cannot export complex waveform values as CSV")
+    table = table.astype(float, copy=False)
 
     def write_to(handle) -> None:
-        writer = csv.writer(handle)
-        writer.writerow(["time"] + names)
-        for k, t in enumerate(waveforms.times):
-            writer.writerow([repr(float(t))] + [repr(float(c[k])) for c in columns])
+        csv.writer(handle).writerow(["time"] + names)
+        # ``repr`` of a list of lists spells every float exactly as
+        # ``repr(float)`` does, so one C-level call per chunk formats the
+        # rows the csv module would write; chunking bounds the transient
+        # string to a few rows instead of the whole table.
+        for start in range(0, len(table), _CHUNK_ROWS):
+            rows = repr(table[start:start + _CHUNK_ROWS].tolist())[2:-2]
+            handle.write(rows.replace("], [", "\r\n").replace(", ", ",") + "\r\n")
 
     if hasattr(target, "write"):
         write_to(target)

@@ -1,11 +1,16 @@
 """Command-line interface and waveform CSV round trip."""
 
+import csv
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.circuits.interconnect import rc_grid
+from repro.circuits.registry import get_benchmark
 from repro.cli import main
+from repro.engine.transient import run_transient
 from repro.errors import SimulationError
 from repro.waveform.export import read_csv, to_csv_text, write_csv
 from repro.waveform.waveform import WaveformSet
@@ -157,3 +162,93 @@ class TestCsvRoundTrip:
     def test_ragged_rows_rejected(self):
         with pytest.raises(SimulationError):
             read_csv(io.StringIO("time,v(a)\n0.0,1.0,2.0\n"))
+
+
+def _rowwise_csv(waveforms, signals=None):
+    """The row-at-a-time csv.writer export, kept as the byte oracle."""
+    names = signals if signals is not None else sorted(waveforms.names)
+    columns = [waveforms[name].values for name in names]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["time"] + names)
+    for k, t in enumerate(waveforms.times):
+        writer.writerow([repr(float(t))] + [repr(float(c[k])) for c in columns])
+    return buffer.getvalue()
+
+
+def _special_values(rows):
+    """*rows* samples cycling through every float spelling repr can take."""
+    specials = np.array(
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e22, -1e22, 3.0, -7.0,
+         1e16, 123456789.0, 0.1, 1.5e-300, 2.0**-1074, np.pi]
+    )
+    idx = np.arange(rows)
+    return WaveformSet(
+        idx * 1e-9,
+        {
+            "v(x)": specials[idx % specials.size],
+            "v(y)": specials[(idx * 7 + 3) % specials.size] * -1.0,
+            "i(V1)": idx.astype(float),
+        },
+    )
+
+
+class TestCsvWriterBytes:
+    """The chunked writer is byte-equal to the row-at-a-time one."""
+
+    def test_grid32_waveforms(self):
+        result = run_transient(rc_grid(32, 32), 10e-9)
+        assert to_csv_text(result.waveforms) == _rowwise_csv(result.waveforms)
+
+    def test_registry_transient(self):
+        bench = get_benchmark("rectifier")
+        result = run_transient(bench.build(), bench.tstop, tstep=bench.tstep,
+                               options=bench.options)
+        assert to_csv_text(result.waveforms) == _rowwise_csv(result.waveforms)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 15, 16, 17, 33, 50])
+    def test_special_values_at_every_chunk_boundary(self, rows):
+        waves = _special_values(rows)
+        assert to_csv_text(waves) == _rowwise_csv(waves)
+
+    @pytest.mark.parametrize("rows", [0, 1, 40])
+    def test_signals_subset(self, rows):
+        waves = _special_values(rows)
+        for signals in (["v(y)"], ["i(V1)", "v(x)"], []):
+            assert to_csv_text(waves, signals) == _rowwise_csv(waves, signals)
+
+    def test_zero_rows_writes_the_header_only(self):
+        assert to_csv_text(_special_values(0)) == "time,i(V1),v(x),v(y)\r\n"
+
+    def test_path_target_equals_text(self, tmp_path):
+        waves = _special_values(40)
+        path = tmp_path / "w.csv"
+        write_csv(waves, str(path))
+        assert path.read_bytes() == to_csv_text(waves).encode("utf-8")
+
+    def test_complex_values_raise(self):
+        # A WaveformSet stores floats; any other mapping of traces that
+        # carries complex samples must fail rather than drop their
+        # imaginary part.
+        class ComplexTraces:
+            times = np.arange(3.0)
+            names = ["v(x)"]
+
+            def __contains__(self, name):
+                return name in self.names
+
+            def __getitem__(self, name):
+                return SimpleNamespace(values=np.array([1.0, 2.0 + 1j, 3.0]))
+
+        with pytest.raises(TypeError, match="complex"):
+            to_csv_text(ComplexTraces())
+
+    def test_read_csv_round_trips_special_values(self):
+        waves = _special_values(40)
+        restored = read_csv(io.StringIO(to_csv_text(waves)))
+        np.testing.assert_array_equal(restored.times, waves.times)
+        for name in waves.names:
+            np.testing.assert_array_equal(restored[name].values, waves[name].values)
+            assert np.array_equal(
+                np.signbit(restored[name].values), np.signbit(waves[name].values)
+            )

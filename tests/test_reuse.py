@@ -1,11 +1,17 @@
-"""Factorisation-reuse fast path: equivalence, boundaries, invalidation.
+"""Factorisation reuse: equivalence, boundaries, invalidation.
 
-The fast path (``SimOptions.jacobian_reuse``) bundles three levers —
-static linear-device stamps, in-place Jacobian assembly and the
-modified-Newton factor bypass. These tests pin down its contract:
+Factors keyed ``(pattern, alpha0, gshunt)`` are reused two ways. On a
+linear system the Jacobian is its static stamps alone, so a key match is
+the exact operator and reuse is unconditional; ``SimOptions.
+jacobian_reuse`` governs only the modified-Newton bypass of nonlinear
+systems. These tests pin down that contract:
 
-* reuse-off is the reference; reuse-on must reproduce it bit-for-bit on
-  linear circuits and within solver tolerance on nonlinear ones,
+* on linear circuits reuse off and on are the same run — times,
+  waveforms, counts and factorisations — with fewer factorisations than
+  Newton iterations; the premise (the assembled Jacobian does not depend
+  on the operating point or the time) is checked directly,
+* on nonlinear circuits reuse-off never bypasses and reuse-on stays
+  within solver tolerance of it,
 * both sides of the dense/sparse split at ``DENSE_CUTOFF`` solve
   correctly and count every factorisation,
 * cached factors never leak across Jacobian patterns,
@@ -16,7 +22,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.circuits.registry import get_benchmark
+from repro.circuits.interconnect import rc_grid
+from repro.circuits.registry import BENCHMARKS, get_benchmark
 from repro.engine.transient import run_transient
 from repro.errors import SingularMatrixError
 from repro.instrument import Recorder
@@ -24,6 +31,7 @@ from repro.linalg.solve import DENSE_CUTOFF, LinearSolver
 from repro.mna.compiler import compile_circuit
 from repro.mna.system import MnaSystem
 from repro.utils.options import SimOptions
+from repro.verify.generators import FAMILIES
 from repro.waveform.waveform import compare, worst_deviation
 
 #: Same ceiling as the Table R9 benchmark: generous vs the measured
@@ -80,11 +88,67 @@ class TestWaveformEquivalence:
         )
 
     def test_reuse_off_performs_no_bypass(self):
-        bench, off, on = _run_pair("rcladder20")
+        # On a nonlinear circuit the switch is the whole story: off means
+        # full Newton, one factorisation per iteration.
+        bench, off, on = _run_pair("rectifier")
         assert off.stats.lu_reuse_hits == 0
         assert off.stats.bypass_fallbacks == 0
-        # Reuse strictly reduces factorisation work on a linear circuit.
+        assert off.stats.lu_factors == off.stats.lu_solves
+        # Reuse strictly reduces factorisation work.
         assert on.stats.lu_factors < off.stats.lu_factors
+
+    @pytest.mark.parametrize("name", LINEAR)
+    def test_linear_reuse_is_exact_with_the_switch_off(self, name):
+        # Exact factors are reused within a solve with the switch off too;
+        # the switch only lets them carry across solves. Either way every
+        # reuse is exact, so the two runs take the same path bit for bit.
+        bench, off, on = _run_pair(name)
+        assert np.array_equal(off.times, on.times)
+        for signal in off.waveforms.names:
+            assert np.array_equal(
+                off.waveforms[signal].values, on.waveforms[signal].values
+            )
+        for field in ("accepted_points", "newton_iterations", "lu_solves"):
+            assert getattr(off.stats, field) == getattr(on.stats, field), field
+        assert off.stats.bypass_fallbacks == on.stats.bypass_fallbacks == 0
+        assert off.stats.lu_reuse_hits > 0
+        assert off.stats.lu_factors < off.stats.newton_iterations
+        assert on.stats.lu_factors <= off.stats.lu_factors
+
+
+def _linear_systems():
+    """Every linear registry circuit and verify family, plus a sparse grid."""
+    cases = {}
+    for name in BENCHMARKS:
+        bench = get_benchmark(name)
+        system = MnaSystem(compile_circuit(bench.build(), bench.options))
+        if not system.has_nonlinear:
+            cases[name] = system
+    for family, build in sorted(FAMILIES.items()):
+        generated = build(np.random.default_rng(11))
+        if generated.linear:
+            cases[family] = MnaSystem(compile_circuit(generated.circuit))
+    cases["grid8x8"] = MnaSystem(compile_circuit(rc_grid(8, 8)))
+    return cases
+
+
+def test_linear_jacobian_does_not_depend_on_the_operating_point():
+    # The premise of exact reuse: on a linear system the assembled
+    # operator is the same bits at any (x, t) for a given alpha0/gshunt.
+    cases = _linear_systems()
+    assert set(LINEAR) <= set(cases)
+    assert {"rc-ladder", "rlc-ladder", "bridged-rc-mesh"} <= set(cases)
+    rng = np.random.default_rng(5)
+    for name, system in cases.items():
+        assert not system.has_nonlinear
+        out = system.make_buffers()
+        alpha0 = float(rng.uniform(1e6, 1e10))
+        mats = []
+        for _ in range(2):
+            system.eval(rng.standard_normal(system.n), float(rng.uniform(0, 1e-6)), out)
+            jac = system.jacobian(out, alpha0)
+            mats.append(jac.toarray() if sp.issparse(jac) else np.array(jac))
+        assert mats[0].tobytes() == mats[1].tobytes(), name
 
 
 def _random_system(n, seed=0):
