@@ -3,10 +3,19 @@
     PYTHONPATH=src python benchmarks/hotpath_floors.py [--calls N] [--out FILE]
 
 Times each layer of one Newton iteration in a tight loop at the DC
-operating point of five registry circuits: ``MnaSystem.eval``, every
-bank's ``eval``, ``MnaSystem.jacobian``, ``LinearSolver.factor`` and
-``LinearSolver.resolve``. Each figure is the best of 5 repeats of
-*calls* back-to-back calls, in microseconds per call.
+operating point of five registry circuits: ``MnaSystem.eval``, the
+charge-only ``MnaSystem.charge_at`` beside it, every bank's ``eval``,
+``MnaSystem.jacobian``, ``LinearSolver.factor`` and
+``LinearSolver.resolve`` — plus the scalar LTE verdict of one trap step
+(``lte_verdict``). Each figure is the best of 5 repeats of *calls*
+back-to-back calls, in microseconds per call.
+
+Two rows price the hand-offs around the solve. ``scatter_k8`` is the
+ensemble accumulation of ``invchain8``'s MOSFET gate charges into an
+``(n + 1, 8)`` buffer: ``np.add.at`` through a 2-D row index against the
+flat index the banks use. ``stage_round_trip`` is one stage of empty
+tasks through ``SerialExecutor`` and ``ThreadExecutor(2)`` at widths 1
+and 2: the executor's own cost, with nothing to compute.
 
 The ``grid32`` row is the sparse and export end of the size ladder: the
 1 025-unknown RC grid of the ``grid_seq`` workload, timing the SuperLU
@@ -27,19 +36,31 @@ import json
 import sys
 import timeit
 
+import numpy as np
+
 from repro.circuits.interconnect import rc_grid
 from repro.circuits.registry import get_benchmark
+from repro.devices.mosfet import MosfetBank
 from repro.engine.transient import run_transient
+from repro.integration.history import Timepoint, TimepointHistory
+from repro.integration.lte import lte_verdict
 from repro.linalg.solve import LinearSolver
 from repro.mna.compiler import compile_circuit
+from repro.mna.pattern import flat_index
 from repro.mna.system import MnaSystem
+from repro.parallel.executors import SerialExecutor, ThreadExecutor
 from repro.solver.dcop import solve_operating_point
+from repro.utils.options import SimOptions
 from repro.waveform.export import to_csv_text
 
 CIRCUITS = ("ring9", "nandchain6", "mixer", "invchain8", "rcladder20")
 REPEATS = 5
 #: Transient-like leading coefficient (1 / 0.5 ns) so the C stream is assembled.
 ALPHA0 = 2.0e9
+#: Step of the LTE verdict's synthetic trap history (0.5 ns).
+STEP = 0.5e-9
+#: Variant count of the ``scatter_k8`` row.
+SIMS = 8
 #: The ``grid_seq`` deck: a 32 x 32 RC grid simulated for 10 ns.
 GRID_SIZE = 32
 GRID_TSTOP = 10e-9
@@ -65,6 +86,7 @@ def circuit_floors(name: str, calls: int) -> dict:
         "unknowns": system.n,
         "nnz": system.pattern.nnz,
         "eval": floor_us(lambda: system.eval(x, 0.0, out), calls),
+        "charge_at": floor_us(lambda: system.charge_at(x, out), calls),
         "banks": {
             type(bank).__name__: floor_us(lambda b=bank: b.eval(x_full, 0.0, out), calls)
             for bank in system.compiled.banks
@@ -74,6 +96,53 @@ def circuit_floors(name: str, calls: int) -> dict:
     jac = system.jacobian(out, ALPHA0)
     row["factor"] = floor_us(lambda: solver.factor(jac), calls)
     row["resolve"] = floor_us(lambda: solver.resolve(rhs), calls)
+
+    # A smooth trap history through the operating point: x(t) = x*(1+t/1us)^2.
+    history = TimepointHistory()
+    for k in range(4):
+        xk = x * (1.0 + k * STEP / 1e-6) ** 2
+        history.append(Timepoint(k * STEP, xk, xk, xk))
+    x_new = x * (1.0 + 4 * STEP / 1e-6) ** 2
+    options = SimOptions()
+    row["lte_verdict"] = floor_us(
+        lambda: lte_verdict(
+            "trap", 2, history, 4 * STEP, x_new, system.voltage_rows, options
+        ),
+        calls,
+    )
+    return row
+
+
+def scatter_floors(calls: int) -> dict:
+    bench = get_benchmark("invchain8")
+    system = MnaSystem(compile_circuit(bench.build(), bench.options))
+    (mos,) = [bank for bank in system.compiled.banks if isinstance(bank, MosfetBank)]
+    index = np.concatenate([mos.g, mos.s, mos.d])
+    flat = flat_index(index, SIMS)
+    target = np.zeros((system.n + 1, SIMS))
+    values = np.random.default_rng(0).normal(size=(index.size, SIMS))
+    flat_target = target.reshape(-1)
+    flat_values = values.reshape(-1)
+    return {
+        "rows": int(index.size),
+        "sims": SIMS,
+        "add_at_2d": floor_us(lambda: np.add.at(target, index, values), calls),
+        "add_at_flat": floor_us(lambda: np.add.at(flat_target, flat, flat_values), calls),
+    }
+
+
+def stage_floors(calls: int) -> dict:
+    row = {}
+    for name, executor in (
+        ("SerialExecutor", SerialExecutor()),
+        ("ThreadExecutor(2)", ThreadExecutor(2)),
+    ):
+        with executor:
+            for width in (1, 2):
+                tasks = [lambda: None] * width
+                row[f"{name} width {width}"] = floor_us(
+                    lambda: executor.run_stage(tasks), calls
+                )
     return row
 
 
@@ -113,6 +182,8 @@ def main(argv: list[str] | None = None) -> int:
             **{name: circuit_floors(name, args.calls) for name in CIRCUITS},
             "grid32": grid_floors(args.calls),
         },
+        "scatter_k8": scatter_floors(args.calls),
+        "stage_round_trip": stage_floors(args.calls),
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)

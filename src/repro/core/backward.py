@@ -164,7 +164,7 @@ class BackwardPipeline(PipelineEngine):
                 self.options.method,
                 METHOD_ORDER[self.options.method],
                 self.history,
-                self.system.voltage_mask,
+                self.system.voltage_rows,
                 self.options,
             )
             if h_opt is not None:

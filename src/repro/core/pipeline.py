@@ -318,6 +318,7 @@ class PipelineEngine(TransientEngine):
                 buffers=system.make_buffers(),
                 solver=LinearSolver(system.unknown_names),
                 iter_cap=iter_cap,
+                kernel=self._kernel,
             )
 
         return task
@@ -375,6 +376,7 @@ class PipelineEngine(TransientEngine):
             buffers=self.system.make_buffers(),
             solver=LinearSolver(self.system.unknown_names),
             x_guess=x0,
+            kernel=self._kernel,
         )
         iterations = corrected.result.iterations
         gap = corrected.t - self.t
@@ -436,15 +438,14 @@ class PipelineEngine(TransientEngine):
     def predicted_timepoint(self, history: TimepointHistory, t_new: float) -> Timepoint:
         """Speculative history entry at *t_new* from the polynomial predictor.
 
-        Charges one evaluation's worth of work to the caller's accounting
-        via the returned object's use; the charge evaluation itself is
-        cheap relative to a Newton solve and is folded into the
-        speculative task's cost by the scheme.
+        Its charge comes from a charge-only evaluation in the engine's
+        one-wide-stage buffers, which that evaluation leaves fit for the
+        next Newton solve. No work is booked for it: the cost model
+        prices Newton solves only, and this runs on the scheduler thread
+        before the stage starts.
         """
         x_hat = history.predict(t_new, self.options.predictor_order)
-        out = self.system.make_buffers()
-        self.system.eval(x_hat, t_new, out)
-        q_hat = self.system.charge(out)
+        q_hat = self.system.charge_at(x_hat, self._buffers)
         scheme = scheme_coefficients(self.options.method, history, t_new)
         return Timepoint(t_new, x_hat, q_hat, scheme.qdot(q_hat))
 

@@ -21,8 +21,16 @@ ground/trash slot):
   time and scale, not on ``x``, so a buffer set keeps it across the
   iterations of one solve). Must not retain state: banks are evaluated
   concurrently by WavePipe tasks.
+* ``charge(x_full, out)`` — accumulate into ``out.q`` exactly what
+  ``eval`` accumulates there (same expressions, same order) and touch
+  nothing else. Every bank whose ``eval`` writes ``out.q`` overrides it;
+  the default is a no-op.
 * ``limit(x_proposed, x_previous)`` — optionally adjust the proposed Newton
   iterate in place (junction limiting). Returns True if it changed anything.
+
+Each bank adds into a stream with one ``np.add.at`` over an index it
+concatenates once (:meth:`DeviceBank.scatter_index`); ``add.at`` applies
+elements in order, so this is bit-equal to one call per terminal.
 
 Shape contract (scalar vs ensemble)
 -----------------------------------
@@ -63,7 +71,7 @@ import abc
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.mna.pattern import PatternBuilder
+from repro.mna.pattern import PatternBuilder, flat_index
 
 #: Thermal voltage at the fixed simulation temperature (300.15 K).
 BOLTZMANN = 1.380649e-23
@@ -239,6 +247,19 @@ class DeviceBank(abc.ABC):
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         """Evaluate all instances at solution *x_full* and time *t*."""
 
+    def charge(self, x_full: np.ndarray, out: EvalOutputs) -> None:
+        """Accumulate only this bank's charges into ``out.q``; default none."""
+
+    def scatter_index(self, *rows: np.ndarray) -> np.ndarray:
+        """One :func:`scatter_add` index over the row arrays *rows*, in order.
+
+        Built once per bank in :meth:`derive` (its ``sims`` is final
+        there): the concatenated rows on the scalar path, their flat
+        positions in a C-order ``(n + 1, K)`` accumulator on an ensemble.
+        """
+        index = np.concatenate(rows)
+        return index if self.sims is None else flat_index(index, self.sims)
+
     def limit(
         self,
         x_proposed: np.ndarray,
@@ -336,7 +357,10 @@ def lift_sims(values: np.ndarray, sims: int | None) -> np.ndarray:
     return np.broadcast_to(values[:, None], (values.shape[0], sims))
 
 
-def scatter_pair(target: np.ndarray, a: np.ndarray, b: np.ndarray, current: np.ndarray) -> None:
-    """Accumulate a through-quantity: ``target[a] += current; target[b] -= current``."""
-    np.add.at(target, a, current)
-    np.add.at(target, b, -current)
+def scatter_add(target: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
+    """``target[at] += values`` with repeats, for a bank's ``(n + 1[, K])``
+    accumulator and its :meth:`DeviceBank.scatter_index` *at*."""
+    if target.ndim == 1:
+        np.add.at(target, at, values)
+    else:
+        np.add.at(target.reshape(-1), at, np.reshape(values, -1))

@@ -24,6 +24,7 @@ from repro.devices.base import (
     DeviceBank,
     EvalOutputs,
     safe_exp,
+    scatter_add,
     stamp_values,
 )
 from repro.devices.diode import pnjlim
@@ -76,6 +77,8 @@ class BjtBank(DeviceBank):
 
     def derive(self) -> None:
         self._neg_sign = -self.sign
+        self._f_at = self.scatter_index(self.c, self.b, self.e)
+        self._q_at = self.scatter_index(self.b, self.e, self.c)
 
     def register(self, builder: PatternBuilder) -> None:
         c, b, e = self.c, self.b, self.e
@@ -105,12 +108,8 @@ class BjtBank(DeviceBank):
 
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         p = self.sign
-        v = x_full[self._bec]
-        # Both junctions at once: rows (vbe, vbc), then (i_f, i_r), (gf, gr).
-        vj = p * (v[0] - v[1:])
-        ej, dej = safe_exp(vj / self.vt)
+        vj, currents, dej = self._junctions(x_full)
         vbe, vbc = vj[0], vj[1]
-        currents = self.isat * (ej - 1.0)
         i_f, i_r = currents[0], currents[1]
         slopes = self.isat * dej / self.vt  # d i_f / d vbe, d i_r / d vbc
         gf, gr = slopes[0], slopes[1]
@@ -130,9 +129,8 @@ class BjtBank(DeviceBank):
         # Real node currents: I_C into collector, I_B into base, I_E = -(I_C+I_B).
         i_c_real = p * ic
         i_b_real = p * ib
-        np.add.at(out.f, self.c, i_c_real)
-        np.add.at(out.f, self.b, i_b_real)
-        np.add.at(out.f, self.e, -(i_c_real + i_b_real))
+        i_e_real = -(i_c_real + i_b_real)
+        scatter_add(out.f, self._f_at, np.concatenate([i_c_real, i_b_real, i_e_real]))
 
         # Chain rule: vbe = p*(Vb - Ve), vbc = p*(Vb - Vc); p cancels in G.
         # Rows of the 3x3 block are (c, b, e); the emitter row is minus
@@ -146,17 +144,33 @@ class BjtBank(DeviceBank):
         g[:, 5] = -dib_dvbe
         g[:, 6:] = -(g[:, :3] + g[:, 3:6])
 
-        # Charges: q_be on B-E, q_bc on B-C (device space), real sign p.
-        q_be = self.cje * vbe + self.tf * i_f
-        q_bc = self.cjc * vbc
+        self._scatter_charges(vbe, vbc, i_f, out)
         c_be = self.cje + self.tf * gf
-        np.add.at(out.q, self.b, p * (q_be + q_bc))
-        np.add.at(out.q, self.e, self._neg_sign * q_be)
-        np.add.at(out.q, self.c, self._neg_sign * q_bc)
         c = self.stamp_view(out.c_vals, self._c_slots, 9)
         c[:, 4] = c_be + self.cjc  # dQb/dVb
         c[:, 5] = c[:, 7] = -c_be  # dQb/dVe, dQe/dVb
         c[:, 8] = c_be  # dQe/dVe
+
+    def charge(self, x_full: np.ndarray, out: EvalOutputs) -> None:
+        vj, currents, _ = self._junctions(x_full)
+        self._scatter_charges(vj[0], vj[1], currents[0], out)
+
+    def _junctions(self, x_full: np.ndarray):
+        """Both junctions at once: rows (vbe, vbc) of the device-space
+        voltages, of the transport currents (i_f, i_r) and of the
+        exponentials' slopes."""
+        v = x_full[self._bec]
+        vj = self.sign * (v[0] - v[1:])
+        ej, dej = safe_exp(vj / self.vt)
+        return vj, self.isat * (ej - 1.0), dej
+
+    def _scatter_charges(self, vbe, vbc, i_f, out: EvalOutputs) -> None:
+        """Charges q_be on B-E, q_bc on B-C (device space), real sign p,
+        into rows (b, e, c)."""
+        q_be = self.cje * vbe + self.tf * i_f
+        q_bc = self.cjc * vbc
+        charges = [self.sign * (q_be + q_bc), self._neg_sign * q_be, self._neg_sign * q_bc]
+        scatter_add(out.q, self._q_at, np.concatenate(charges))
 
     def limit(
         self,

@@ -25,7 +25,7 @@ from repro.devices.base import (
     DeviceBank,
     EvalOutputs,
     safe_exp,
-    scatter_pair,
+    scatter_add,
     two_terminal_conductance_pattern,
 )
 from repro.mna.pattern import PatternBuilder
@@ -116,7 +116,10 @@ class DiodeBank(DeviceBank):
         self.vcrit = self.vt * np.log(self.vt / (np.sqrt(2.0) * self.isat))
         self._g_slots = None
         self._c_slots = None
-        self._has_charge = bool(np.any(self.cj0 > 0) or np.any(self.tt > 0))
+        self.derive()
+
+    def derive(self) -> None:
+        self._at = self.scatter_index(self.a, self.b)
 
     def register(self, builder: PatternBuilder) -> None:
         rows, cols = two_terminal_conductance_pattern(self.a, self.b)
@@ -124,22 +127,36 @@ class DiodeBank(DeviceBank):
         self._c_slots = builder.add_c_entries(rows, cols)
 
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
-        v = x_full[self._ab]
-        vd = v[0] - v[1]
-        expo, dexpo = safe_exp(vd / self.vt)
-        i_junction = self.isat * (expo - 1.0)
+        vd, i_junction, dexpo = self._junction(x_full)
         g_junction = self.isat * dexpo / self.vt
 
         current = i_junction + self.gmin * vd
         conductance = g_junction + self.gmin
-        scatter_pair(out.f, self.a, self.b, current)
+        scatter_add(out.f, self._at, np.concatenate([current, -current]))
         self._stamp(out.g_vals, self._g_slots, conductance)
 
+        c_dep = self._scatter_charge(vd, i_junction, out)
+        cap = c_dep + self.tt * g_junction
+        self._stamp(out.c_vals, self._c_slots, cap)
+
+    def charge(self, x_full: np.ndarray, out: EvalOutputs) -> None:
+        vd, i_junction, _ = self._junction(x_full)
+        self._scatter_charge(vd, i_junction, out)
+
+    def _junction(self, x_full: np.ndarray):
+        """Junction voltage, junction current and the exponential's slope."""
+        v = x_full[self._ab]
+        vd = v[0] - v[1]
+        expo, dexpo = safe_exp(vd / self.vt)
+        return vd, self.isat * (expo - 1.0), dexpo
+
+    def _scatter_charge(self, vd, i_junction, out: EvalOutputs) -> np.ndarray:
+        """Accumulate depletion + diffusion charge; returns the depletion
+        capacitance."""
         q_dep, c_dep = depletion_charge(vd, self.cj0, self.vj, self.m)
         charge = q_dep + self.tt * i_junction
-        cap = c_dep + self.tt * g_junction
-        scatter_pair(out.q, self.a, self.b, charge)
-        self._stamp(out.c_vals, self._c_slots, cap)
+        scatter_add(out.q, self._at, np.concatenate([charge, -charge]))
+        return c_dep
 
     def _stamp(self, vals, slots, g) -> None:
         """The (+g, -g, -g, +g) stamp of each device, written column-wise."""

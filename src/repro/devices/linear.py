@@ -18,7 +18,7 @@ import numpy as np
 from repro.devices.base import (
     DeviceBank,
     EvalOutputs,
-    scatter_pair,
+    scatter_add,
     stamp_values,
     two_terminal_conductance_pattern,
     two_terminal_values,
@@ -39,6 +39,10 @@ class ResistorBank(DeviceBank):
         self.b = np.asarray(b_idx, dtype=np.int64)
         self.g = 1.0 / np.asarray(resistances, dtype=float)
         self._slots = None
+        self.derive()
+
+    def derive(self) -> None:
+        self._f_at = self.scatter_index(self.a, self.b)
 
     def register(self, builder: PatternBuilder) -> None:
         rows, cols = two_terminal_conductance_pattern(self.a, self.b)
@@ -47,7 +51,7 @@ class ResistorBank(DeviceBank):
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         v = x_full[self.a] - x_full[self.b]
         current = self.g * v
-        scatter_pair(out.f, self.a, self.b, current)
+        scatter_add(out.f, self._f_at, np.concatenate([current, -current]))
 
     def write_static_stamps(self, g_vals, c_vals) -> None:
         g_vals[self._slots.slice] = two_terminal_values(self.g)
@@ -66,15 +70,22 @@ class CapacitorBank(DeviceBank):
         self.b = np.asarray(b_idx, dtype=np.int64)
         self.c = np.asarray(capacitances, dtype=float)
         self._slots = None
+        self.derive()
+
+    def derive(self) -> None:
+        self._q_at = self.scatter_index(self.a, self.b)
 
     def register(self, builder: PatternBuilder) -> None:
         rows, cols = two_terminal_conductance_pattern(self.a, self.b)
         self._slots = builder.add_c_entries(rows, cols)
 
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
+        self.charge(x_full, out)
+
+    def charge(self, x_full: np.ndarray, out: EvalOutputs) -> None:
         v = x_full[self.a] - x_full[self.b]
         charge = self.c * v
-        scatter_pair(out.q, self.a, self.b, charge)
+        scatter_add(out.q, self._q_at, np.concatenate([charge, -charge]))
 
     def write_static_stamps(self, g_vals, c_vals) -> None:
         c_vals[self._slots.slice] = two_terminal_values(self.c)
@@ -98,6 +109,10 @@ class MutualInductanceBank(DeviceBank):
         self.j2 = np.asarray(j2_idx, dtype=np.int64)
         self.m = np.asarray(mutuals, dtype=float)
         self._c_slots = None
+        self.derive()
+
+    def derive(self) -> None:
+        self._q_at = self.scatter_index(self.j1, self.j2)
 
     def register(self, builder: PatternBuilder) -> None:
         rows = np.stack([self.j1, self.j2], axis=1).ravel()
@@ -105,8 +120,11 @@ class MutualInductanceBank(DeviceBank):
         self._c_slots = builder.add_c_entries(rows, cols)
 
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
-        np.add.at(out.q, self.j1, -self.m * x_full[self.j2])
-        np.add.at(out.q, self.j2, -self.m * x_full[self.j1])
+        self.charge(x_full, out)
+
+    def charge(self, x_full: np.ndarray, out: EvalOutputs) -> None:
+        flux = np.concatenate([-self.m * x_full[self.j2], -self.m * x_full[self.j1]])
+        scatter_add(out.q, self._q_at, flux)
 
     def write_static_stamps(self, g_vals, c_vals) -> None:
         c_vals[self._c_slots.slice] = stamp_values(-self.m, -self.m, sims=self.sims)
@@ -127,6 +145,11 @@ class InductorBank(DeviceBank):
         self.l = np.asarray(inductances, dtype=float)
         self._g_slots = None
         self._c_slots = None
+        self.derive()
+
+    def derive(self) -> None:
+        self._f_at = self.scatter_index(self.a, self.b, self.j)
+        self._q_at = self.scatter_index(self.j)
 
     def register(self, builder: PatternBuilder) -> None:
         a, b, j = self.a, self.b, self.j
@@ -137,9 +160,12 @@ class InductorBank(DeviceBank):
 
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         current = x_full[self.j]
-        scatter_pair(out.f, self.a, self.b, current)
-        np.add.at(out.f, self.j, x_full[self.a] - x_full[self.b])
-        np.add.at(out.q, self.j, -self.l * current)
+        branch = x_full[self.a] - x_full[self.b]
+        scatter_add(out.f, self._f_at, np.concatenate([current, -current, branch]))
+        self.charge(x_full, out)
+
+    def charge(self, x_full: np.ndarray, out: EvalOutputs) -> None:
+        scatter_add(out.q, self._q_at, -self.l * x_full[self.j])
 
     def write_static_stamps(self, g_vals, c_vals) -> None:
         ones = np.ones(self.count)

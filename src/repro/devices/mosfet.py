@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.devices.base import DeviceBank, EvalOutputs, scatter_pair, stamp_values
+from repro.devices.base import DeviceBank, EvalOutputs, scatter_add, stamp_values
 from repro.mna.pattern import PatternBuilder
 
 
@@ -78,6 +78,8 @@ class MosfetBank(DeviceBank):
         self._gmin_ds = np.array([self.gmin, -self.gmin]).reshape(
             2, *[1] * self.sign.ndim
         )
+        self._f_at = self.scatter_index(self.d, self.s)
+        self._q_at = self.scatter_index(self.g, self.s, self.d)
 
     def register(self, builder: PatternBuilder) -> None:
         d, g, s, b = self.d, self.g, self.s, self.b
@@ -162,18 +164,23 @@ class MosfetBank(DeviceBank):
         i_drain += self.gmin * to_source[0]
         a[::2] += self._gmin_ds
 
-        scatter_pair(out.f, self.d, self.s, i_drain)
+        scatter_add(out.f, self._f_at, np.concatenate([i_drain, -i_drain]))
         stamps = self.stamp_view(out.g_vals, self._g_slots, 8)
         columns = a.swapaxes(0, 1)
         stamps[:, :4] = columns
         np.negative(columns, out=stamps[:, 4:])
 
-        # Constant gate capacitances (their stamps are static).
-        q_gs = self.cgs * to_source[1]
+        self._scatter_charges(v, out)
+
+    def charge(self, x_full: np.ndarray, out: EvalOutputs) -> None:
+        self._scatter_charges(x_full[self._sdgb[:3]], out)
+
+    def _scatter_charges(self, v: np.ndarray, out: EvalOutputs) -> None:
+        """Gate charges on the constant capacitances (static stamps), from
+        the gathered rows ``vs, vd, vg``, into rows (g, s, d)."""
+        q_gs = self.cgs * (v[2] - v[0])
         q_gd = self.cgd * (v[2] - v[1])
-        np.add.at(out.q, self.g, q_gs + q_gd)
-        np.add.at(out.q, self.s, -q_gs)
-        np.add.at(out.q, self.d, -q_gd)
+        scatter_add(out.q, self._q_at, np.concatenate([q_gs + q_gd, -q_gs, -q_gd]))
 
     def operating_regions(self, x_full: np.ndarray) -> list[str]:
         """Human-readable region of each device ("off"/"linear"/"saturation").

@@ -14,7 +14,7 @@ from repro.devices.base import (
     DeviceBank,
     EvalOutputs,
     lift_sims,
-    scatter_pair,
+    scatter_add,
     stamp_values,
 )
 from repro.mna.pattern import PatternBuilder
@@ -39,6 +39,11 @@ class VoltageSourceBank(DeviceBank):
         #: Homotopy scale for DC source stepping; 1.0 in normal operation.
         self.scale = 1.0
         self._slots = None
+        self.derive()
+
+    def derive(self) -> None:
+        self._f_at = self.scatter_index(self.p, self.m, self.j)
+        self._s_at = self.scatter_index(self.j)
 
     def register(self, builder: PatternBuilder) -> None:
         p, m, j = self.p, self.m, self.j
@@ -51,11 +56,11 @@ class VoltageSourceBank(DeviceBank):
 
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         current = x_full[self.j]
-        scatter_pair(out.f, self.p, self.m, current)
-        np.add.at(out.f, self.j, x_full[self.p] - x_full[self.m])
+        branch = x_full[self.p] - x_full[self.m]
+        scatter_add(out.f, self._f_at, np.concatenate([current, -current, branch]))
         if out.inject:
             levels = -self.scale * self._levels(t)
-            np.add.at(out.s, self.j, lift_sims(levels, self.sims))
+            scatter_add(out.s, self._s_at, lift_sims(levels, self.sims))
 
     def write_static_stamps(self, g_vals, c_vals) -> None:
         # Only the source *injection* depends on time/scale; the branch
@@ -83,6 +88,10 @@ class CurrentSourceBank(DeviceBank):
         self.m = np.asarray(minus_idx, dtype=np.int64)
         self.waveforms: list[SourceWaveform] = list(waveforms)
         self.scale = 1.0
+        self.derive()
+
+    def derive(self) -> None:
+        self._s_at = self.scatter_index(self.p, self.m)
 
     def register(self, builder: PatternBuilder) -> None:
         pass  # pure source injection: no Jacobian entries
@@ -90,7 +99,8 @@ class CurrentSourceBank(DeviceBank):
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         if out.inject:
             levels = self.scale * np.array([w.value(t) for w in self.waveforms])
-            scatter_pair(out.s, self.p, self.m, lift_sims(levels, self.sims))
+            both = lift_sims(np.concatenate([levels, -levels]), self.sims)
+            scatter_add(out.s, self._s_at, both)
 
 
 class VcvsBank(DeviceBank):
@@ -109,6 +119,10 @@ class VcvsBank(DeviceBank):
         self.j = np.asarray(branch_idx, dtype=np.int64)
         self.gain = np.asarray(gains, dtype=float)
         self._slots = None
+        self.derive()
+
+    def derive(self) -> None:
+        self._f_at = self.scatter_index(self.p, self.m, self.j)
 
     def register(self, builder: PatternBuilder) -> None:
         p, m, j, cp, cm = self.p, self.m, self.j, self.cp, self.cm
@@ -118,13 +132,12 @@ class VcvsBank(DeviceBank):
 
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         current = x_full[self.j]
-        scatter_pair(out.f, self.p, self.m, current)
         branch = (
             x_full[self.p]
             - x_full[self.m]
             - self.gain * (x_full[self.cp] - x_full[self.cm])
         )
-        np.add.at(out.f, self.j, branch)
+        scatter_add(out.f, self._f_at, np.concatenate([current, -current, branch]))
 
     def write_static_stamps(self, g_vals, c_vals) -> None:
         ones = np.ones(self.count)
@@ -148,6 +161,10 @@ class VccsBank(DeviceBank):
         self.cm = np.asarray(cm_idx, dtype=np.int64)
         self.gm = np.asarray(gms, dtype=float)
         self._slots = None
+        self.derive()
+
+    def derive(self) -> None:
+        self._f_at = self.scatter_index(self.p, self.m)
 
     def register(self, builder: PatternBuilder) -> None:
         p, m, cp, cm = self.p, self.m, self.cp, self.cm
@@ -157,7 +174,7 @@ class VccsBank(DeviceBank):
 
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         current = self.gm * (x_full[self.cp] - x_full[self.cm])
-        scatter_pair(out.f, self.p, self.m, current)
+        scatter_add(out.f, self._f_at, np.concatenate([current, -current]))
 
     def write_static_stamps(self, g_vals, c_vals) -> None:
         g_vals[self._slots.slice] = stamp_values(
@@ -179,6 +196,10 @@ class CccsBank(DeviceBank):
         self.jc = np.asarray(ctrl_branch_idx, dtype=np.int64)
         self.gain = np.asarray(gains, dtype=float)
         self._slots = None
+        self.derive()
+
+    def derive(self) -> None:
+        self._f_at = self.scatter_index(self.p, self.m)
 
     def register(self, builder: PatternBuilder) -> None:
         rows = np.stack([self.p, self.m], axis=1).ravel()
@@ -187,7 +208,7 @@ class CccsBank(DeviceBank):
 
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         current = self.gain * x_full[self.jc]
-        scatter_pair(out.f, self.p, self.m, current)
+        scatter_add(out.f, self._f_at, np.concatenate([current, -current]))
 
     def write_static_stamps(self, g_vals, c_vals) -> None:
         g_vals[self._slots.slice] = stamp_values(self.gain, -self.gain, sims=self.sims)
@@ -208,6 +229,10 @@ class CcvsBank(DeviceBank):
         self.j = np.asarray(branch_idx, dtype=np.int64)
         self.r = np.asarray(rs, dtype=float)
         self._slots = None
+        self.derive()
+
+    def derive(self) -> None:
+        self._f_at = self.scatter_index(self.p, self.m, self.j)
 
     def register(self, builder: PatternBuilder) -> None:
         p, m, j, jc = self.p, self.m, self.j, self.jc
@@ -217,9 +242,8 @@ class CcvsBank(DeviceBank):
 
     def eval(self, x_full: np.ndarray, t: float, out: EvalOutputs) -> None:
         current = x_full[self.j]
-        scatter_pair(out.f, self.p, self.m, current)
         branch = x_full[self.p] - x_full[self.m] - self.r * x_full[self.jc]
-        np.add.at(out.f, self.j, branch)
+        scatter_add(out.f, self._f_at, np.concatenate([current, -current, branch]))
 
     def write_static_stamps(self, g_vals, c_vals) -> None:
         ones = np.ones(self.count)

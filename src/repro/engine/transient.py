@@ -118,6 +118,7 @@ def solve_timepoint(
     solver: LinearSolver | BlockSolver | None = None,
     x_guess: np.ndarray | None = None,
     iter_cap: int | None = None,
+    kernel: Kernel | None = None,
 ) -> PointSolution:
     """Newton-solve the circuit at *t_new* against *history*.
 
@@ -127,6 +128,7 @@ def solve_timepoint(
     WavePipe tasks, each with its own *buffers* and *solver*. On an
     ensemble system the history carries ``(n, K)`` state, so predictor,
     ``beta`` and charge derivative inherit the variant axis elementwise.
+    *kernel* is ``kernel_for(system)``, which an engine resolves once.
     """
     buffers = buffers if buffers is not None else system.make_buffers()
     scheme = scheme_coefficients(options.method, history, t_new, force_be=force_be)
@@ -135,7 +137,7 @@ def solve_timepoint(
             x_guess = history.predict(t_new, options.predictor_order)
         else:
             x_guess = history.last.x
-    result = kernel_for(system).newton(
+    result = (kernel or kernel_for(system)).newton(
         system,
         t_new,
         scheme.alpha0,
@@ -147,8 +149,7 @@ def solve_timepoint(
         iter_cap=iter_cap,
     )
     if result.converged:
-        system.eval(result.x, t_new, buffers)
-        result.q = system.charge(buffers)
+        result.q = system.charge_at(result.x, buffers)
         result.qdot = scheme.qdot(result.q)
     return PointSolution(t_new, result, scheme)
 
@@ -258,9 +259,7 @@ def _initial_solution(
             x0[compiled.branch_current_index(name)] = value
     for node, value in (node_ics or {}).items():
         x0[compiled.node_voltage_index(node)] = value
-    out = system.make_buffers()
-    system.eval(x0, 0.0, out)
-    q0 = system.charge(out)
+    q0 = system.charge_at(x0)
     stats.dcop_seconds += time.perf_counter() - started
     return x0, q0
 
@@ -357,8 +356,9 @@ class TransientEngine:
         )
         # The one-wide stage's scratch: kept for the whole run, so factors
         # carry over between time points.
+        self._kernel = kernel_for(system)
         self._buffers = system.make_buffers()
-        self._solver = kernel_for(system).make_solver()
+        self._solver = self._kernel.make_solver()
         #: Open ``timestep`` span of a traced one-wide stage (0 = none).
         self._step_span = 0
         self._ran = False
@@ -442,6 +442,7 @@ class TransientEngine:
             self.controller.force_be,
             self._buffers,
             self._solver,
+            kernel=self._kernel,
         )
         self.charge_solution(solution)
         self.verify_ascending([solution], [h])
@@ -545,13 +546,13 @@ class TransientEngine:
     def verdict_for(self, solution: PointSolution) -> LteVerdict:
         """LTE test of a converged point against the live history,
         honouring the step it was solved over."""
-        return kernel_for(self.system).verdict(
+        return self._kernel.verdict(
             solution.scheme.method_used,
             solution.scheme.order,
             self.history,
             solution.t,
             solution.result.x,
-            self.system.voltage_mask,
+            self.system.voltage_rows,
             self.options,
             h_solve=solution.scheme.h,
         )

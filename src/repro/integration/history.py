@@ -43,7 +43,8 @@ def divided_difference(points: list[tuple[float, np.ndarray]]) -> np.ndarray:
     if len(points) < 2:
         raise SimulationError("divided difference needs at least 2 points")
     times = [float(t) for t, _ in points]
-    vals = [np.asarray(v, dtype=float).copy() for _, v in points]
+    # Every level rebinds fresh arrays, so the inputs are never written.
+    vals = [np.asarray(v, dtype=float) for _, v in points]
     n = len(points)
     for level in range(1, n):
         for i in range(n - level):
@@ -59,8 +60,12 @@ def neville_extrapolate(points: list[tuple[float, np.ndarray]], t_new: float) ->
     if not points:
         raise SimulationError("extrapolation needs at least one point")
     times = [float(t) for t, _ in points]
-    vals = [np.asarray(v, dtype=float).copy() for _, v in points]
+    # Every level rebinds fresh arrays, so the inputs are never written;
+    # only a one-point "polynomial" needs a copy to stay private.
+    vals = [np.asarray(v, dtype=float) for _, v in points]
     n = len(points)
+    if n == 1:
+        return vals[0].copy()
     for level in range(1, n):
         for i in range(n - level):
             denom = times[i] - times[i + level]

@@ -61,29 +61,29 @@ class LteVerdict:
 
 
 def _unknown_error_ratios(
-    method_used, order, history, t_new, x_new, voltage_mask, options, h
+    method_used, order, history, t_new, x_new, voltage_rows, options, h
 ) -> np.ndarray | None:
     """|LTE| / tolerance per voltage unknown (per variant column, if any).
 
-    None when no estimate is possible: too few history points (cold
-    start) or no voltage unknowns.
+    Only the *voltage_rows* of each point enter the divided difference,
+    scale and tolerance — the same elementwise formulas as over the full
+    vector, without computing the rows the test ignores. None when no
+    estimate is possible: too few history points (cold start) or no
+    voltage unknowns.
     """
     needed = order + 2  # dd of order k+1 needs k+2 points
-    points = [(t_new, x_new)] + [(p.t, p.x) for p in history.newest(needed - 1)]
-    if len(points) < needed:
+    newest = history.newest(needed - 1)
+    x_v = x_new[voltage_rows]
+    if len(newest) < needed - 1 or x_v.size == 0:
         return None
-
-    dd = divided_difference(points[:needed])
+    dd = divided_difference([(t_new, x_v)] + [(p.t, p.x[voltage_rows]) for p in newest])
     err = ERROR_CONSTANTS[method_used] * (h ** (order + 1)) * np.abs(dd)
 
-    scale = np.maximum(np.abs(x_new), np.abs(history.last.x))
+    scale = np.maximum(np.abs(x_v), np.abs(history.last.x[voltage_rows]))
     tol = options.trtol * (
         options.effective_lte_reltol * scale + options.effective_lte_abstol
     )
-    masked_err = err[voltage_mask]
-    if masked_err.size == 0:
-        return None
-    return masked_err / tol[voltage_mask]
+    return err / tol
 
 
 def lte_verdict(
@@ -92,7 +92,7 @@ def lte_verdict(
     history: TimepointHistory,
     t_new: float,
     x_new: np.ndarray,
-    voltage_mask: np.ndarray,
+    voltage_rows,
     options: SimOptions,
     h_solve: float | None = None,
 ) -> LteVerdict:
@@ -103,6 +103,9 @@ def lte_verdict(
     accepted and a cautious growth suggestion returned.
 
     Args:
+        voltage_rows: the voltage unknowns the test covers — a boolean
+            mask or an index (the engine passes
+            :attr:`~repro.mna.system.MnaSystem.voltage_rows`).
         h_solve: the integration step the candidate was actually solved
             with, when it differs from ``t_new - history.last.t`` —
             WavePipe's backward points integrate from the stage base while
@@ -111,7 +114,7 @@ def lte_verdict(
     """
     h = h_solve if h_solve is not None else t_new - history.last.t
     per_unknown = _unknown_error_ratios(
-        method_used, order, history, t_new, x_new, voltage_mask, options, h
+        method_used, order, history, t_new, x_new, voltage_rows, options, h
     )
     if per_unknown is None:
         return LteVerdict(True, 0.0, h * options.step_ratio_max, False)
@@ -131,7 +134,7 @@ def ensemble_lte_verdict(
     history: TimepointHistory,
     t_new: float,
     x_new: np.ndarray,
-    voltage_mask: np.ndarray,
+    voltage_rows,
     options: SimOptions,
     h_solve: float | None = None,
 ) -> LteVerdict:
@@ -150,7 +153,7 @@ def ensemble_lte_verdict(
     """
     h = h_solve if h_solve is not None else t_new - history.last.t
     per_unknown = _unknown_error_ratios(
-        method_used, order, history, t_new, x_new, voltage_mask, options, h
+        method_used, order, history, t_new, x_new, voltage_rows, options, h
     )
     if per_unknown is None:
         return LteVerdict(True, 0.0, h * options.step_ratio_max, False)
@@ -177,7 +180,7 @@ def predicted_max_step(
     method_used: str,
     order: int,
     history: TimepointHistory,
-    voltage_mask: np.ndarray,
+    voltage_rows,
     options: SimOptions,
 ) -> float | None:
     """A-priori LTE-optimal step predicted from history alone.
@@ -194,20 +197,18 @@ def predicted_max_step(
     needed = order + 2
     if history.era_length < needed:
         return None
-    points = [(p.t, p.x) for p in history.newest(needed)]
+    points = [(p.t, p.x[voltage_rows]) for p in history.newest(needed)]
+    if points[0][1].size == 0:
+        return None
     dd = divided_difference(points)
 
-    last = history.last
-    scale = np.abs(last.x)
+    scale = np.abs(history.last.x[voltage_rows])
     tol = options.trtol * (
         options.effective_lte_reltol * scale + options.effective_lte_abstol
     )
-    err_per_h = ERROR_CONSTANTS[method_used] * np.abs(dd[voltage_mask])
-    tol_masked = tol[voltage_mask]
-    if err_per_h.size == 0:
-        return None
+    err_per_h = ERROR_CONSTANTS[method_used] * np.abs(dd)
     # Step h such that max(err_per_h * h^(k+1) / tol) == 1.
-    worst = float(np.max(err_per_h / tol_masked))
+    worst = float(np.max(err_per_h / tol))
     if worst <= 0.0:
         h_ref = history.last_step or 0.0
         return h_ref * ZERO_ERROR_GROWTH if h_ref else None

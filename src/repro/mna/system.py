@@ -47,6 +47,9 @@ class MnaSystem:
         self.pattern = builder.finalize(extra_diagonal=True)
         self.gshunt = compiled.options.gmin
         self.voltage_mask = compiled.voltage_mask
+        #: The voltage unknowns as a slice (views, not gathers): the
+        #: compiler numbers the node voltages first.
+        self.voltage_rows = slice(0, compiled.n_nodes)
         self.unknown_names = compiled.unknown_names
         #: True when any bank is nonlinear. Newton on a purely linear
         #: system converges in one exact step, so update damping is
@@ -60,6 +63,10 @@ class MnaSystem:
         #: True when ``voltage_mask`` selects anything (damping looks only
         #: at voltage unknowns).
         self.has_voltages = bool(compiled.voltage_mask.any())
+        # The banks holding charges: all a charge-only evaluation visits.
+        self._charge_banks = [
+            b for b in compiled.banks if type(b).charge is not DeviceBank.charge
+        ]
         # The independent-source banks: their ``scale`` (DC source
         # stepping) and the time are all the source injection depends on.
         self._source_banks = [
@@ -109,8 +116,22 @@ class MnaSystem:
         """``f(x) + s(t) + gshunt*x`` (no charge term) from filled buffers."""
         return out.f[: self.n] + out.s[: self.n] + self.gshunt * x
 
-    def charge(self, out: EvalOutputs) -> np.ndarray:
-        """Charge vector q(x) from filled buffers."""
+    def charge_at(self, x: np.ndarray, out: EvalOutputs | None = None) -> np.ndarray:
+        """The charge vector q(x), bit-equal to :meth:`eval`'s ``out.q``.
+
+        Runs only the charge-holding banks' ``charge``: it zeroes and
+        fills ``out.q`` (and ``out.x_full``) and leaves the resistive and
+        source accumulators, the slot arrays and the source-injection key
+        alone, so a Newton solve may reuse *out* afterwards as if this
+        call had not happened. Returns a copy of ``q[:n]``; *out* defaults
+        to fresh buffers.
+        """
+        out = out if out is not None else self.make_buffers()
+        out.q.fill(0.0)
+        x_full = out.x_full
+        x_full[: self.n] = x
+        for bank in self._charge_banks:
+            bank.charge(x_full, out)
         return out.q[: self.n].copy()
 
     def _workspace(self, out: EvalOutputs):

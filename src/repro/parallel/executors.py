@@ -6,13 +6,20 @@ data dependencies. Two interchangeable runtimes execute them:
 * :class:`SerialExecutor` runs tasks in order on the calling thread. With
   the virtual clock this is the deterministic reference runtime (and, on
   a 1-CPU GIL-bound host, also the fastest in wall time).
-* :class:`ThreadExecutor` runs tasks on a real thread pool. Results are
-  bit-identical to the serial runtime because tasks are stateless with
-  respect to shared objects (each allocates its own buffers and solver);
-  this runtime demonstrates that the decomposition is genuinely
-  concurrent and would scale on a GIL-free multi-core interpreter.
+* :class:`ThreadExecutor` runs a stage on ``max_workers`` OS threads at
+  once: the calling thread runs slot 0 itself and ``max_workers - 1``
+  persistent lane threads, fed through ``queue.SimpleQueue``, run the
+  rest (slot *k* on lane ``k % max_workers``, lane 0 being the caller).
+  There is no pool hop for the first task and no pool bookkeeping per
+  task. Results are bit-identical to the serial runtime because tasks
+  are stateless with respect to shared objects (each allocates its own
+  buffers and solver); this runtime demonstrates that the decomposition
+  is genuinely concurrent and would scale on a GIL-free multi-core
+  interpreter.
 
-Both return results in task order regardless of completion order.
+Both return results in task order regardless of completion order, and
+both let every task of a stage finish before the first failure in task
+order is raised.
 
 Observability: when a :class:`~repro.instrument.Recorder` is attached
 (``executor.recorder``, set by the pipeline engine), every task emits a
@@ -24,7 +31,10 @@ occupancy rows.
 from __future__ import annotations
 
 import abc
-from concurrent.futures import ThreadPoolExecutor, wait
+import functools
+import queue
+import threading
+import weakref
 from typing import Callable, Sequence
 
 from repro.errors import SimulationError
@@ -117,7 +127,7 @@ class SerialExecutor(StageExecutor):
 
 
 class ThreadExecutor(StageExecutor):
-    """Real concurrent execution on a shared thread pool."""
+    """Real concurrent execution: the caller plus ``max_workers - 1`` lanes."""
 
     def __init__(self, max_workers: int):
         if max_workers < 1:
@@ -125,35 +135,65 @@ class ThreadExecutor(StageExecutor):
                 f"ThreadExecutor needs max_workers >= 1, got {max_workers}"
             )
         self.max_workers = max_workers
-        self._pool = ThreadPoolExecutor(max_workers=max_workers)
+        self._inboxes = [queue.SimpleQueue() for _ in range(max_workers - 1)]
+        self._lanes = [
+            threading.Thread(target=_serve, args=(inbox,), daemon=True)
+            for inbox in self._inboxes
+        ]
+        for lane in self._lanes:
+            lane.start()
+        # Stops the lanes if the executor is dropped without close().
+        inboxes = self._inboxes
+        self._stop = weakref.finalize(self, lambda: [q.put(None) for q in inboxes])
         self._closed = False
 
     def run_stage(self, tasks: Sequence[Callable[[], object]]) -> list[object]:
         if self._closed:
-            # fail loudly instead of letting the dead pool raise an opaque
-            # RuntimeError (or hang) from submit()
             raise SimulationError(
                 "ThreadExecutor is closed; create a new executor to run more stages"
             )
-        futures = [self._pool.submit(task) for task in self._instrumented(tasks)]
-        # Let every task finish before surfacing anything: no futures are
-        # abandoned mid-flight, and the *first task in stage order* wins
-        # (deterministic, matching what SerialExecutor would raise) with
-        # its original traceback rather than whichever future the
-        # concurrent.futures bookkeeping happened to surface first.
-        wait(futures)
-        for future in futures:
-            error = future.exception()
-            if error is not None:
-                raise error
-        return [future.result() for future in futures]
+        tasks = self._instrumented(tasks)
+        width = self.max_workers
+        outcomes: list[tuple[bool, object] | None] = [None] * len(tasks)
+        done = queue.SimpleQueue()
+
+        def run_slots(first: int) -> None:
+            for k in range(first, len(tasks), width):
+                try:
+                    outcomes[k] = (True, tasks[k]())
+                except BaseException as error:  # re-raised below, in task order
+                    outcomes[k] = (False, error)
+            done.put(first)
+
+        busy = self._inboxes[: max(len(tasks) - 1, 0)]
+        for first, inbox in enumerate(busy, start=1):
+            inbox.put(functools.partial(run_slots, first))
+        run_slots(0)
+        # Every task finishes before anything surfaces: nothing is left
+        # running mid-flight, and the first failure in task order wins
+        # (what SerialExecutor would raise) with its original traceback.
+        for _ in range(len(busy) + 1):
+            done.get()
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+        return [value for _, value in outcomes]
 
     def close(self) -> None:
-        """Shut the pool down; safe to call any number of times."""
+        """Stop and join the lane threads; safe to call any number of times."""
         if self._closed:
             return
         self._closed = True
-        self._pool.shutdown(wait=True)
+        self._stop()
+        for lane in self._lanes:
+            lane.join()
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    """A lane thread: run each job it is handed (its slots of a stage,
+    which never raise) until the ``None`` stop message."""
+    while (job := inbox.get()) is not None:
+        job()
 
 
 def make_executor(kind: str, threads: int) -> StageExecutor:

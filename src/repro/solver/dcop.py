@@ -41,12 +41,6 @@ class OperatingPoint:
     lu_reuse_hits: int = 0
 
 
-def _charge_at(system: MnaSystem, x: np.ndarray) -> np.ndarray:
-    out = system.make_buffers()
-    system.eval(x, 0.0, out)
-    return system.charge(out)
-
-
 def solve_operating_point(
     system: MnaSystem,
     options: SimOptions | None = None,
@@ -69,7 +63,7 @@ def solve_operating_point(
         # exactly this operating point's linear-solve cost.
         return OperatingPoint(
             x,
-            _charge_at(system, x),
+            system.charge_at(x),
             total_iters,
             total_work,
             strategy,

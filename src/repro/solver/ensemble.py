@@ -132,7 +132,7 @@ def _ensemble_iterate(
         opts.voltage_limit if system.has_nonlinear and system.has_voltages else 0.0
     )
     damping = opts.damping if system.has_nonlinear else 1.0
-    voltage_mask = system.voltage_mask
+    voltage_rows = system.voltage_rows
     x_new_full, x_full = out.pads
     changed_cols = np.zeros(sims, dtype=bool)
     x = np.asarray(x0, dtype=float).copy()
@@ -152,20 +152,22 @@ def _ensemble_iterate(
             return finish(False, iteration, residual_norms,
                           failure="residual diverged (non-finite)")
 
-        # Per-variant Jacobian bypass, mirroring the scalar policy.
+        # Per-variant Jacobian bypass, mirroring the scalar policy; no
+        # factors match a None key, so then nothing can be bypassed.
         bypass = np.zeros(sims, dtype=bool)
-        for k in np.nonzero(active)[0]:
-            sk = solver.solvers[k]
-            bk = allow_bypass[k] and sk.matches(key)
-            if bk and not exact:
-                if opts.refactor_every > 0 and sk.bypass_streak >= opts.refactor_every:
-                    bk = False
-                elif residual_norms[k] > opts.reuse_stall_ratio * prev_norm[k]:
-                    bk = False
-                    allow_bypass[k] = False
-                    fallbacks += 1
-            bypass[k] = bk
-        prev_norm[active] = residual_norms[active]
+        if key is not None:
+            for k in np.nonzero(active)[0]:
+                sk = solver.solvers[k]
+                bk = allow_bypass[k] and sk.matches(key)
+                if bk and not exact:
+                    if opts.refactor_every > 0 and sk.bypass_streak >= opts.refactor_every:
+                        bk = False
+                    elif residual_norms[k] > opts.reuse_stall_ratio * prev_norm[k]:
+                        bk = False
+                        allow_bypass[k] = False
+                        fallbacks += 1
+                bypass[k] = bk
+            prev_norm[active] = residual_norms[active]
 
         delta = np.zeros((n, sims))
         need_factor = active & ~bypass
@@ -199,7 +201,7 @@ def _ensemble_iterate(
 
         # Global damping, per variant column (scalar semantics per column).
         if voltage_limit > 0:
-            vmax = np.abs(delta[voltage_mask]).max(axis=0)
+            vmax = np.abs(delta[voltage_rows]).max(axis=0)
             hot = vmax > voltage_limit
             if hot.any():
                 scale_cols = np.where(hot, voltage_limit / np.maximum(vmax, 1e-300), 1.0)

@@ -297,10 +297,13 @@ def _newton_iterate(
         opts.voltage_limit if system.has_nonlinear and system.has_voltages else 0.0
     )
     damping = opts.damping if system.has_nonlinear else 1.0
-    voltage_mask = system.voltage_mask
+    voltage_rows = system.voltage_rows
     x_new_full, x_full = out.pads
     x = np.asarray(x0, dtype=float).copy()
     residual_norm = np.inf
+    # The convergence test's two scratch vectors: bound and step size.
+    bound = np.empty(n)
+    step = np.empty(n)
 
     for iteration in range(1, max_iters + 1):
         system.eval(x, t, out)
@@ -351,7 +354,7 @@ def _newton_iterate(
 
         # Global damping: cap the largest voltage move per iteration.
         if voltage_limit > 0:
-            vmax = np.abs(delta[voltage_mask]).max()
+            vmax = np.abs(delta[voltage_rows]).max()
             if vmax > voltage_limit:
                 delta = delta * (voltage_limit / vmax)
         if damping < 1.0:
@@ -368,8 +371,12 @@ def _newton_iterate(
             if limited:
                 x_new = x_new_full[:n].copy()
 
-        scale = np.maximum(np.abs(x_new), np.abs(x))
-        small = (np.abs(x_new - x) <= opts.reltol * scale + abs_tol).all()
+        # |x_new - x| <= reltol * max(|x_new|, |x|) + abs_tol, in place.
+        np.maximum(np.abs(x_new, out=bound), np.abs(x, out=step), out=bound)
+        bound *= opts.reltol
+        bound += abs_tol
+        np.abs(np.subtract(x_new, x, out=step), out=step)
+        small = (step <= bound).all()
         x = x_new
         if small and not limited:
             return finish(True, iteration, residual_norm)

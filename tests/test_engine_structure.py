@@ -86,3 +86,69 @@ def test_schemes_inherit_the_loop():
         assert issubclass(cls, TransientEngine)
         assert cls.run is TransientEngine.run
         assert cls.verify_ascending is TransientEngine.verify_ascending
+
+
+# -- one way to get the charge vector ---------------------------------------------
+
+
+def _writes_out_q(func: ast.AST) -> bool:
+    """True when *func* reads ``out.q`` (a bank accumulating charge)."""
+    return any(
+        isinstance(n, ast.Attribute)
+        and n.attr == "q"
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "out"
+        for n in ast.walk(func)
+    )
+
+
+def test_every_charge_holding_bank_overrides_charge():
+    """A bank whose code accumulates into ``out.q`` must define ``charge``:
+    the base default is a no-op, so a missing override would silently drop
+    that bank's charge from every ``charge_at``."""
+    holders = []
+    for path in sorted((SRC / "devices").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or not cls.name.endswith("Bank"):
+                continue
+            methods = {
+                f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)
+            }
+            if any(_writes_out_q(f) for f in methods.values()):
+                holders.append(cls.name)
+                assert "charge" in methods, f"{path.name}:{cls.name} lacks charge()"
+    assert {"CapacitorBank", "InductorBank", "MutualInductanceBank",
+            "MosfetBank", "DiodeBank", "BjtBank"} <= set(holders)
+
+
+def test_no_full_eval_only_to_read_the_charge():
+    """Outside AC analysis (which needs the stamps), every ``system.eval``
+    call site also uses the resistive side of the evaluation; the charge
+    alone comes from ``MnaSystem.charge_at``, the one way to get q."""
+    from repro.mna.system import MnaSystem
+
+    assert not hasattr(MnaSystem, "charge")
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            evals = [
+                n for n in ast.walk(func)
+                if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "eval"
+                and "system" in ast.unparse(n.func.value)
+            ]
+            if not evals:
+                continue
+            sites.append(f"{rel}:{func.name}")
+            if rel == "analysis/ac.py":
+                continue
+            assert _reads(func, "resistive_residual") and _reads(func, "jacobian"), (
+                f"{rel}:{func.name} runs a full eval without using its stamps"
+            )
+    assert "solver/newton.py:_newton_iterate" in sites

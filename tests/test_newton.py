@@ -134,11 +134,9 @@ class TestControls:
         system = make_system(rc_circuit)
         out_idx = system.compiled.node_voltage_index("out")
         n = system.n
-        buffers = system.make_buffers()
         x0 = np.zeros(n)
         x0[system.compiled.node_voltage_index("in")] = 1.0
-        system.eval(np.zeros(n), 0.0, buffers)
-        q_prev = system.charge(buffers)
+        q_prev = system.charge_at(np.zeros(n))
         h = 1e-12  # much smaller than tau = 1 us
         alpha0 = 1.0 / h
         beta = -q_prev / h

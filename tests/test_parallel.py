@@ -195,3 +195,90 @@ class TestExecutors:
         ex.close()
         with pytest.raises(SimulationError):
             make_executor("fiber", 2)
+
+
+class TestThreadLanes:
+    """How ThreadExecutor maps a stage onto threads: the caller runs slot
+    0 itself, persistent lanes run the rest (slot k on lane k % workers)."""
+
+    def test_slot_zero_runs_on_the_calling_thread(self):
+        with ThreadExecutor(3) as ex:
+            idents = ex.run_stage([threading.get_ident] * 3)
+        assert idents[0] == threading.get_ident()
+        assert threading.get_ident() not in idents[1:]
+        assert idents[1] != idents[2]
+
+    def test_wide_stage_completes_in_task_order(self):
+        with ThreadExecutor(2) as ex:
+            results = ex.run_stage(
+                [lambda k=k: (k, threading.get_ident()) for k in range(7)]
+            )
+        assert [k for k, _ in results] == list(range(7))
+        caller = threading.get_ident()
+        assert {ident for k, ident in results if k % 2 == 0} == {caller}
+        (lane,) = {ident for k, ident in results if k % 2 == 1}
+        assert lane != caller
+
+    def test_slot_zero_failure_waits_for_running_lanes(self):
+        finished = []
+
+        def boom():
+            raise RuntimeError("slot 0")
+
+        def slow():
+            time.sleep(0.05)
+            finished.append("lane")
+            return True
+
+        with ThreadExecutor(2) as ex:
+            with pytest.raises(RuntimeError, match="slot 0"):
+                ex.run_stage([boom, slow])
+            assert finished == ["lane"]  # done before the error surfaced
+            assert ex.run_stage([lambda: 1, lambda: 2]) == [1, 2]
+
+    def test_single_worker_starts_no_thread(self):
+        before = threading.active_count()
+        ex = ThreadExecutor(1)
+        assert threading.active_count() == before
+        assert ex.run_stage([threading.get_ident] * 3) == [threading.get_ident()] * 3
+        ex.close()
+
+    def test_lanes_are_joined_on_close(self):
+        baseline = threading.active_count()
+        for _ in range(50):
+            ex = ThreadExecutor(3)
+            assert ex.run_stage([lambda: 1] * 4) == [1] * 4
+            ex.close()
+        assert threading.active_count() == baseline
+
+    def test_empty_stage(self):
+        with ThreadExecutor(2) as ex:
+            assert ex.run_stage([]) == []
+
+    def test_stress_more_lanes_than_cores_loses_no_result(self):
+        """Many short stages, four threads on fewer cores and a tiny switch
+        interval: every slot's result lands in its own place, every time."""
+        import sys
+
+        failures = []
+
+        def drive():
+            try:
+                with ThreadExecutor(4) as ex:
+                    for width in [1, 2, 3, 4, 5, 9] * 40:
+                        got = ex.run_stage([lambda k=k: k * k for k in range(width)])
+                        if got != [k * k for k in range(width)]:
+                            failures.append(got)
+            except Exception as exc:  # surfaced by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=drive)
+            runner.start()
+            runner.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert failures == []
