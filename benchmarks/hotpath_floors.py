@@ -17,11 +17,16 @@ flat index the banks use. ``stage_round_trip`` is one stage of empty
 tasks through ``SerialExecutor`` and ``ThreadExecutor(2)`` at widths 1
 and 2: the executor's own cost, with nothing to compute.
 
-The ``grid32`` row is the sparse and export end of the size ladder: the
-1 025-unknown RC grid of the ``grid_seq`` workload, timing the SuperLU
-``factor`` and ``resolve`` and ``to_csv_text`` of its 10 ns transient.
-Those calls cost milliseconds, so the row runs ``calls // 100`` of them
-(at least 2; its own ``calls`` field says how many).
+The ``grid32`` and ``grid64`` rows are the sparse and export end of the
+size ladder: the 1 025-unknown RC grid of the ``grid_seq`` workload and
+its 4 097-unknown big brother, timing the SuperLU ``factor`` and
+``resolve`` and ``to_csv_text`` of a 10 ns transient. ``factor`` is the
+numeric refactor in the pattern's once-computed order; ``factor_colamd``
+is a fresh default ``scipy.sparse.linalg.splu`` of the same matrix (the
+COLAMD-per-factor cost the solver paid before), and ``fill`` /
+``fill_colamd`` are their L+U nonzeros. Those calls cost milliseconds,
+so the rows run ``calls // 100`` of them (at least 2; their own
+``calls`` field says how many).
 
 These are warm-cache *floors*: in situ each layer reads about 2x its
 floor (docs/performance.md "Where the time goes"), so use them as
@@ -37,6 +42,7 @@ import sys
 import timeit
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from repro.circuits.interconnect import rc_grid
 from repro.circuits.registry import get_benchmark
@@ -61,8 +67,8 @@ ALPHA0 = 2.0e9
 STEP = 0.5e-9
 #: Variant count of the ``scatter_k8`` row.
 SIMS = 8
-#: The ``grid_seq`` deck: a 32 x 32 RC grid simulated for 10 ns.
-GRID_SIZE = 32
+#: The ``grid_seq`` deck (a 32 x 32 RC grid) and a 64 x 64 one, simulated for 10 ns.
+GRID_SIZES = (32, 64)
 GRID_TSTOP = 10e-9
 
 
@@ -79,7 +85,7 @@ def circuit_floors(name: str, calls: int) -> dict:
     out = system.make_buffers()
     x_full = system.eval(x, 0.0, out)
     rhs = -system.resistive_residual(out, x)
-    solver = LinearSolver(system.unknown_names)
+    solver = LinearSolver(system.unknown_names, system.pattern)
     solver.factor(system.jacobian(out, ALPHA0))
 
     row = {
@@ -146,23 +152,28 @@ def stage_floors(calls: int) -> dict:
     return row
 
 
-def grid_floors(calls: int) -> dict:
-    circuit = rc_grid(GRID_SIZE, GRID_SIZE)
+def grid_floors(size: int, calls: int) -> dict:
+    circuit = rc_grid(size, size)
     system = MnaSystem(compile_circuit(circuit))
     x = solve_operating_point(system).x
     out = system.make_buffers()
     system.eval(x, 0.0, out)
     rhs = -system.resistive_residual(out, x)
     jac = system.jacobian(out, ALPHA0)
-    solver = LinearSolver(system.unknown_names)
+    solver = LinearSolver(system.unknown_names, system.pattern)
     solver.factor(jac)
+    lu = solver._sparse_lu[0]
+    colamd = spla.splu(jac)
     waveforms = run_transient(circuit, GRID_TSTOP).waveforms
     calls = max(calls // 100, 2)
     return {
         "unknowns": system.n,
         "nnz": system.pattern.nnz,
         "calls": calls,
+        "fill": lu.L.nnz + lu.U.nnz,
+        "fill_colamd": colamd.L.nnz + colamd.U.nnz,
         "factor": floor_us(lambda: solver.factor(jac), calls),
+        "factor_colamd": floor_us(lambda: spla.splu(jac), calls),
         "resolve": floor_us(lambda: solver.resolve(rhs), calls),
         "to_csv_text": floor_us(lambda: to_csv_text(waveforms), calls),
     }
@@ -180,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": REPEATS,
         "circuits": {
             **{name: circuit_floors(name, args.calls) for name in CIRCUITS},
-            "grid32": grid_floors(args.calls),
+            **{f"grid{size}": grid_floors(size, args.calls) for size in GRID_SIZES},
         },
         "scatter_k8": scatter_floors(args.calls),
         "stage_round_trip": stage_floors(args.calls),

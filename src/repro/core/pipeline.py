@@ -316,7 +316,7 @@ class PipelineEngine(TransientEngine):
                 options,
                 force_be,
                 buffers=system.make_buffers(),
-                solver=LinearSolver(system.unknown_names),
+                solver=LinearSolver(system.unknown_names, system.pattern),
                 iter_cap=iter_cap,
                 kernel=self._kernel,
             )
@@ -374,7 +374,7 @@ class PipelineEngine(TransientEngine):
             self.options,
             force_be=False,
             buffers=self.system.make_buffers(),
-            solver=LinearSolver(self.system.unknown_names),
+            solver=LinearSolver(self.system.unknown_names, self.system.pattern),
             x_guess=x0,
             kernel=self._kernel,
         )

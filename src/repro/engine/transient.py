@@ -80,11 +80,13 @@ def kernel_for(system: MnaSystem) -> Kernel:
     """
     if system.sims is None:
         return Kernel(
-            newton_solve, lambda: LinearSolver(system.unknown_names), lte_verdict
+            newton_solve,
+            lambda: LinearSolver(system.unknown_names, system.pattern),
+            lte_verdict,
         )
     return Kernel(
         ensemble_newton_solve,
-        lambda: BlockSolver(system.sims, system.unknown_names),
+        lambda: BlockSolver(system.sims, system.unknown_names, system.pattern),
         ensemble_lte_verdict,
     )
 

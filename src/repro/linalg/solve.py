@@ -22,13 +22,23 @@ needs:
   bypass". Counted separately (``reuse_hits``) so the cost model can price
   a reused factorisation at its true (back-solve only) cost.
 
-Every sparse factorisation is a fresh ``splu`` (COLAMD ordering
-included): scipy exposes no numeric-only refactorisation, and re-applying
-a cached ordering through ``permc_spec="NATURAL"`` measured 2-3x slower
-than letting SuperLU order the matrix itself.
+Sparse systems are ordered once per structure, the circuit-simulator
+way (SPICE orders once and refactors numerically; KLU orders A+Aᵀ and
+pivots with a diagonal-preferring threshold): a :class:`SparseOrder`
+holds a minimum-degree ordering of A+Aᵀ, and every factorisation
+gathers the matrix into that order and calls ``splu`` with
+``permc_spec="NATURAL"`` and SPICE's pivot threshold, so no factor runs
+COLAMD. (An earlier finding that a cached ordering refactors 2-3x
+slower came from applying SuperLU's ``perm_c`` inverted: column ``i``
+moves *to* position ``perm_c[i]``, so the permuted matrix is
+``A[:, argsort(perm_c)]``, not ``A[:, perm_c]``.) A solver built with
+its system's :class:`~repro.mna.pattern.JacobianPattern` takes the
+ordering the pattern computed once; any other sparse matrix is ordered
+on the spot.
 
 All cache state is per-instance: WavePipe tasks each own a solver, so
-reuse never crosses thread boundaries.
+reuse never crosses thread boundaries. The one thing solvers share is
+their pattern's ordering, which is read-only once computed.
 """
 
 from __future__ import annotations
@@ -47,6 +57,39 @@ from repro.errors import SingularMatrixError
 #: Fortran-order matrix for exactly the systems factored densely here.
 DENSE_CUTOFF = 40
 
+#: SuperLU options of every sparse factorisation. ``diag_pivot_thresh`` is
+#: SPICE's PIVREL: the diagonal pivot is kept while it is at least this
+#: fraction of the largest entry in its column. One-column panels and no
+#: relaxed supernodes suit circuit matrices, whose supernodes are narrow:
+#: SuperLU's defaults (wide panels, relaxed supernodes) factor the 1 025-
+#: unknown grid 2.3x and a 1 000-stage inverter chain 60x slower.
+SPLU_OPTIONS = {"diag_pivot_thresh": 1e-3, "panel_size": 1, "relax": 1}
+
+
+class SparseOrder:
+    """A fill-reducing symmetric ordering of one square CSC structure.
+
+    ``q`` is a minimum-degree ordering of A+Aᵀ (SuperLU's
+    ``MMD_AT_PLUS_A`` run on a diagonally dominant surrogate with that
+    structure, so its own factorisation cannot fail); the matrix factored
+    is ``A[q][:, q]``, whose CSC structure is ``indptr``/``indices`` and
+    whose data is ``A.data[gather]``. Depends on the structure alone, so
+    one instance serves every matrix with it.
+    """
+
+    __slots__ = ("q", "indptr", "indices", "gather")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, n: int):
+        ones = sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+        surrogate = (ones + ones.T + sp.identity(n) * 2 * n).tocsc()
+        # SuperLU moves column i *to* position where[i], so q is its inverse.
+        where = spla.splu(surrogate, permc_spec="MMD_AT_PLUS_A", **SPLU_OPTIONS).perm_c
+        self.q = np.argsort(where)
+        rows, cols = where[indices], where[np.repeat(np.arange(n), np.diff(indptr))]
+        self.gather = np.lexsort((rows, cols))
+        self.indices = rows[self.gather].astype(np.intc)
+        self.indptr = np.append(0, np.cumsum(np.bincount(cols, minlength=n))).astype(np.intc)
+
 
 class LinearSolver:
     """Factor-and-solve helper bound to one matrix size.
@@ -54,16 +97,20 @@ class LinearSolver:
     Instances are cheap; WavePipe tasks each use their own. The cached
     factorisation lives on the instance, never in shared state, and owns
     its memory: the dense path keeps the ``dgetrf`` factors plus a copy
-    of the matrix (the reference a failed back-solve names its suspect
-    unknown from), so the aliased workspace matrix it was handed may be
-    reassembled at once. Failure is always a
+    of the matrix, the sparse path the SuperLU factors plus the permuted
+    gather it factored (the reference a failed back-solve names its
+    suspect unknown from), so the aliased workspace matrix it was handed
+    may be reassembled at once. Failure is always a
     :class:`~repro.errors.SingularMatrixError` — from ``dgetrf``'s
     ``info`` (an exactly zero pivot), a non-finite factor (a NaN/inf
     stamp) or a non-finite solution — never a LAPACK warning.
     """
 
-    def __init__(self, unknown_names: list[str] | None = None):
+    def __init__(self, unknown_names: list[str] | None = None, pattern=None):
         self.unknown_names = unknown_names
+        #: The system's :class:`~repro.mna.pattern.JacobianPattern`, whose
+        #: one :class:`SparseOrder` factors every matrix with its structure.
+        self.pattern = pattern
         #: Factorisations performed.
         self.factor_count = 0
         #: Triangular back-solves performed.
@@ -93,9 +140,12 @@ class LinearSolver:
         row_max = np.abs(dense).max(axis=1)
         return self._name(int(np.argmin(row_max)))
 
-    def _suspect_sparse(self, matrix: sp.csc_matrix) -> str | None:
+    def _suspect_sparse(self, matrix: sp.csc_matrix, q: np.ndarray | None = None) -> str | None:
+        """The dense heuristic on a sparse *matrix*; *q* maps a row of
+        the permuted ``A[q][:, q]`` back to its unknown."""
         row_max = abs(matrix.tocsr()).max(axis=1).toarray().ravel()
-        return self._name(int(np.argmin(row_max)))
+        index = int(np.argmin(row_max))
+        return self._name(index if q is None else int(q[index]))
 
     # -- cache management --------------------------------------------------------
 
@@ -197,22 +247,41 @@ class LinearSolver:
 
     # -- sparse path -------------------------------------------------------------
 
+    def _order(self, matrix) -> tuple[sp.csc_matrix, SparseOrder]:
+        """*matrix* as canonical CSC and the ordering of its structure."""
+        pattern = self.pattern
+        if (
+            pattern is not None
+            and sp.issparse(matrix)
+            and matrix.format == "csc"
+            and np.array_equal(matrix.indptr, pattern.indptr)
+            and np.array_equal(matrix.indices, pattern.indices)
+        ):
+            return matrix, pattern.order
+        matrix = sp.csc_matrix(matrix, dtype=float, copy=True)
+        matrix.sum_duplicates()
+        return matrix, SparseOrder(matrix.indptr, matrix.indices, matrix.shape[0])
+
     def _factor_sparse(self, matrix) -> None:
         self.factor_count += 1
-        if not sp.issparse(matrix):
-            matrix = sp.csc_matrix(matrix)
+        matrix, order = self._order(matrix)
+        # The gather is an owned copy: the (aliased) workspace matrix may
+        # be reassembled while it serves as the diagnostic reference.
+        permuted = sp.csc_matrix(
+            (matrix.data[order.gather], order.indices, order.indptr), shape=matrix.shape
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", spla.MatrixRankWarning)
             try:
-                lu = spla.splu(matrix)
+                lu = spla.splu(permuted, permc_spec="NATURAL", **SPLU_OPTIONS)
             except RuntimeError as exc:
                 self._mode = None
                 raise SingularMatrixError(
                     f"sparse factorisation failed: {exc}",
-                    unknown=self._suspect_sparse(matrix),
+                    unknown=self._suspect_sparse(permuted, order.q),
                 ) from None
-        self._sparse_lu = lu
-        self._sparse_ref = matrix
+        self._sparse_lu = (lu, order.q)
+        self._sparse_ref = permuted
         self._dense_lu = None
         self._dense_ref = None
         self._mode = "sparse"
@@ -228,11 +297,14 @@ class LinearSolver:
                     unknown=self._suspect_dense(self._dense_ref),
                 )
             return result
-        result = self._sparse_lu.solve(rhs)
+        lu, q = self._sparse_lu
+        permuted = lu.solve(np.asarray(rhs)[q])
+        result = np.empty_like(permuted)
+        result[q] = permuted
         if not np.all(np.isfinite(result)):
             raise SingularMatrixError(
                 "sparse solve produced non-finite values",
-                unknown=self._suspect_sparse(self._sparse_ref),
+                unknown=self._suspect_sparse(self._sparse_ref, q),
             )
         return result
 
@@ -246,9 +318,9 @@ class BlockSolver:
     ``solvers[k]`` directly for back-solves and bypass decisions.
     """
 
-    def __init__(self, sims: int, unknown_names: list[str] | None = None):
+    def __init__(self, sims: int, unknown_names: list[str] | None = None, pattern=None):
         self.sims = sims
-        self.solvers = [LinearSolver(unknown_names) for _ in range(sims)]
+        self.solvers = [LinearSolver(unknown_names, pattern) for _ in range(sims)]
 
     def factor_all(
         self,

@@ -26,11 +26,13 @@ need no ground branches in their inner loops.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import AssemblyError
-from repro.linalg.solve import DENSE_CUTOFF
+from repro.linalg.solve import DENSE_CUTOFF, SparseOrder
 
 
 def flat_index(index: np.ndarray, sims: int, rows: int | None = None) -> np.ndarray:
@@ -211,6 +213,19 @@ class JacobianPattern:
                 size * size,
             )
             self._dense_maps = (flat[g_map], flat[c_map], flat[diag_map])
+        self._order: SparseOrder | None = None
+        self._order_lock = threading.Lock()
+
+    @property
+    def order(self) -> SparseOrder:
+        """The fill-reducing ordering every solver of this (sparse) pattern
+        factors with: computed once, on first use, under a lock so racing
+        first factors share one instance, and dropped with the pattern."""
+        if self._order is None:
+            with self._order_lock:
+                if self._order is None:
+                    self._order = SparseOrder(self.indptr, self.indices, self.size)
+        return self._order
 
     def assemble(
         self,

@@ -54,7 +54,7 @@ def solve_operating_point(
     """
     opts = options or system.options
     guess = np.zeros(system.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    solver = LinearSolver(system.unknown_names)
+    solver = LinearSolver(system.unknown_names, system.pattern)
     total_work = 0.0
     total_iters = 0
 

@@ -100,7 +100,7 @@ def _ensemble_iterate(
     sims = system.sims
     n = system.n
     out = out if out is not None else system.make_buffers()
-    solver = solver or BlockSolver(sims, system.unknown_names)
+    solver = solver or BlockSolver(sims, system.unknown_names, system.pattern)
     max_iters = iter_cap if iter_cap is not None else opts.max_newton_iters
 
     exact = not system.has_nonlinear

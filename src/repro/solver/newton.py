@@ -258,7 +258,7 @@ def _newton_iterate(
 ) -> NewtonResult:
     """The damped-Newton loop itself (instrumentation-free hot path)."""
     out = out if out is not None else system.make_buffers()
-    solver = solver or LinearSolver(system.unknown_names)
+    solver = solver or LinearSolver(system.unknown_names, system.pattern)
     max_iters = iter_cap if iter_cap is not None else opts.max_newton_iters
     per_iter = iteration_work(system)
     per_iter_bypassed = iteration_work(system, bypassed=True)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from repro.circuits.interconnect import rc_grid
 from repro.circuits.registry import get_benchmark
 from repro.errors import SingularMatrixError
 from repro.linalg.solve import DENSE_CUTOFF, BlockSolver, LinearSolver, condition_estimate
@@ -179,6 +180,27 @@ class TestWorkspaceAliasing:
         assert np.array_equal(solver.solve_reused(rhs), before)
         assert np.array_equal(solver._dense_ref, retained)
         np.testing.assert_allclose(retained @ before, rhs, rtol=1e-7, atol=1e-9)
+
+    def test_sparse_reference_survives_a_later_assemble(self):
+        system = MnaSystem(compile_circuit(rc_grid(8, 8)))
+        assert system.n > DENSE_CUTOFF
+        out = system.make_buffers()
+        rhs = np.random.default_rng(13).standard_normal(system.n)
+        alpha0 = 2.0e9
+        system.eval(np.zeros(system.n), 0.0, out)
+        jac = system.jacobian(out, alpha0)
+        retained = jac.copy()
+        solver = LinearSolver(system.unknown_names, system.pattern)
+        solver.factor(jac, key="k")
+        before = solver.solve_reused(rhs)
+
+        assert system.jacobian(out, 2 * alpha0) is jac
+        assert (jac != retained).nnz
+        # The reference is the owned gather A[q][:, q], not the workspace.
+        q = system.pattern.order.q
+        assert (solver._sparse_ref != retained[q][:, q]).nnz == 0
+        assert np.array_equal(solver.solve_reused(rhs), before)
+        np.testing.assert_allclose(retained @ before, rhs, rtol=1e-12, atol=1e-12)
 
     def test_block_factors_survive_a_later_assemble(self):
         bench = get_benchmark("invchain8")
