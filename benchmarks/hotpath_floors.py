@@ -10,12 +10,15 @@ charge-only ``MnaSystem.charge_at`` beside it, every bank's ``eval``,
 (``lte_verdict``). Each figure is the best of 5 repeats of *calls*
 back-to-back calls, in microseconds per call.
 
-Two rows price the hand-offs around the solve. ``scatter_k8`` is the
+Three rows price the hand-offs around the solve. ``scatter_k8`` is the
 ensemble accumulation of ``invchain8``'s MOSFET gate charges into an
 ``(n + 1, 8)`` buffer: ``np.add.at`` through a 2-D row index against the
 flat index the banks use. ``stage_round_trip`` is one stage of empty
 tasks through ``SerialExecutor`` and ``ThreadExecutor(2)`` at widths 1
-and 2: the executor's own cost, with nothing to compute.
+and 2: the executor's own cost, with nothing to compute. ``lane_alloc``
+is one fresh ``make_buffers()`` plus ``LinearSolver(...)`` on
+``invchain8`` and ``grid32``: what every stage task paid before the
+engine kept one solver lane per thread for the whole run.
 
 The ``grid32`` and ``grid64`` rows are the sparse and export end of the
 size ladder: the 1 025-unknown RC grid of the ``grid_seq`` workload and
@@ -152,6 +155,24 @@ def stage_floors(calls: int) -> dict:
     return row
 
 
+def lane_alloc_floors(calls: int) -> dict:
+    bench = get_benchmark("invchain8")
+    systems = {
+        "invchain8": MnaSystem(compile_circuit(bench.build(), bench.options)),
+        "grid32": MnaSystem(compile_circuit(rc_grid(32, 32))),
+    }
+    return {
+        name: floor_us(
+            lambda s=system: (
+                s.make_buffers(),
+                LinearSolver(s.unknown_names, s.pattern),
+            ),
+            calls,
+        )
+        for name, system in systems.items()
+    }
+
+
 def grid_floors(size: int, calls: int) -> dict:
     circuit = rc_grid(size, size)
     system = MnaSystem(compile_circuit(circuit))
@@ -195,6 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "scatter_k8": scatter_floors(args.calls),
         "stage_round_trip": stage_floors(args.calls),
+        "lane_alloc": lane_alloc_floors(args.calls),
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)

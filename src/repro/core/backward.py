@@ -38,6 +38,7 @@ schedule, never the acceptance criteria.
 from __future__ import annotations
 
 from repro.core.pipeline import PipelineEngine
+from repro.engine.transient import PointTask
 from repro.integration.controller import BREAKPOINT_SNAP
 from repro.integration.lte import predicted_max_step
 from repro.integration.methods import METHOD_ORDER
@@ -107,8 +108,9 @@ class BackwardPipeline(PipelineEngine):
         targets, has_guard = self.plan_targets(h_seq, room, self.threads)
         base = self.history.clone()
         force_be = controller.force_be
-        tasks = [self.make_point_task(base, self.t + d, force_be) for d in targets]
-        solutions = self.executor.run_stage(tasks)
+        solutions = self.solve_stage(
+            [PointTask(base, self.t + d, force_be) for d in targets]
+        )
         self.stats.clock.advance_stage([s.result.work_units for s in solutions])
         for sol in solutions:
             self.charge_solution(sol)

@@ -16,6 +16,7 @@ is why the paper runs the combined scheme at 3+ threads.
 from __future__ import annotations
 
 from repro.core.backward import BackwardPipeline
+from repro.engine.transient import PointTask
 from repro.integration.controller import BREAKPOINT_SNAP
 
 
@@ -33,15 +34,14 @@ class CombinedPipeline(BackwardPipeline):
         targets, has_guard = self.plan_targets(h_seq, room, backward_budget)
         base = self.history.clone()
         force_be = controller.force_be
-        tasks = [self.make_point_task(base, self.t + d, force_be) for d in targets]
+        tasks = [PointTask(base, self.t + d, force_be) for d in targets]
 
         chain_targets = targets[1:] if has_guard else targets
         spare_threads = self.threads - len(targets)
         spec_task = self._plan_speculation(
             base, chain_targets, room, force_be, spare_threads
         )
-        all_tasks = tasks + ([spec_task] if spec_task else [])
-        solutions = self.executor.run_stage(all_tasks)
+        solutions = self.solve_stage(tasks + ([spec_task] if spec_task else []))
         backward_solutions = solutions[: len(tasks)]
         speculative = solutions[len(tasks) :]
 
@@ -102,7 +102,7 @@ class CombinedPipeline(BackwardPipeline):
             return None
         spec_hist = base.clone()
         spec_hist.append(predicted)
-        return self.make_point_task(
+        return PointTask(
             spec_hist,
             self.t + front + spec_gap,
             False,

@@ -30,6 +30,7 @@ time on an ideal machine.
 from __future__ import annotations
 
 from repro.core.pipeline import PipelineEngine
+from repro.engine.transient import PointTask
 from repro.integration.controller import BREAKPOINT_SNAP
 
 
@@ -45,7 +46,7 @@ class ForwardPipeline(PipelineEngine):
         force_be = controller.force_be
 
         depth = self._speculation_depth(h, hits_bp)
-        producer_task = self.make_point_task(base, self.t + h, force_be)
+        producer_task = PointTask(base, self.t + h, force_be)
 
         # Rejection guard: under rejection pressure one thread computes a
         # fallback point below the producer so a failed producer still
@@ -54,7 +55,7 @@ class ForwardPipeline(PipelineEngine):
         guard_gap = 0.0
         if depth > 0 and self.guard_active:
             guard_gap = h * self.options.backward_guard_fraction
-            guard_task = self.make_point_task(base, self.t + guard_gap, force_be)
+            guard_task = PointTask(base, self.t + guard_gap, force_be)
             depth -= 1
 
         spec_tasks = []
@@ -77,7 +78,7 @@ class ForwardPipeline(PipelineEngine):
                 spec_hist = spec_hist.clone()
                 spec_hist.append(predicted)
                 spec_tasks.append(
-                    self.make_point_task(
+                    PointTask(
                         spec_hist,
                         t_i,
                         False,
@@ -88,7 +89,7 @@ class ForwardPipeline(PipelineEngine):
                 h_next = self._predicted_next_step(h_next)
 
         guard_list = [guard_task] if guard_task else []
-        solutions = self.executor.run_stage([producer_task] + guard_list + spec_tasks)
+        solutions = self.solve_stage([producer_task] + guard_list + spec_tasks)
         producer = solutions[0]
         guard = solutions[1] if guard_task else None
         speculative = solutions[1 + len(guard_list) :]

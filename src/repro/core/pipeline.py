@@ -4,11 +4,14 @@
 (:class:`~repro.engine.transient.TransientEngine`), which owns everything
 a pipelined run shares with the sequential baseline — operating point,
 accepted history, step controller, waveform recording, the time loop and
-the one accept / LTE-reject / Newton-fail routine. This module adds only
-what widening a stage needs: a stage executor, the virtual clock, the
-EWMA scheduling policies, guard / waste / speculation accounting, the
-forward schemes' corrective re-solve, and the ``stage_run`` trace span.
-Scheme subclasses implement :meth:`PipelineEngine.run_wide_stage`; at
+the one accept / LTE-reject / Newton-fail routine — and one solver lane
+per thread. This module adds only what widening a stage needs: a stage
+executor that runs a list of :class:`~repro.engine.transient.PointTask`
+one task per lane (:meth:`PipelineEngine.solve_stage`), the virtual
+clock, the EWMA scheduling policies, guard / waste / speculation
+accounting, the forward schemes' corrective re-solve, and the
+``stage_run`` / ``stage_task`` trace spans. Scheme subclasses plan the
+tasks in :meth:`PipelineEngine.run_wide_stage`; at
 ``threads=1`` a pipelined run *is* the inherited one-wide stage (plus its
 clock charge), so it retraces the sequential run bit for bit.
 
@@ -25,18 +28,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.circuit.circuit import Circuit
 from repro.engine.transient import (
     PointSolution,
+    PointTask,
     TransientEngine,
     TransientResult,
     TransientStats,
     _build_waveforms,
     _initial_solution,
-    solve_timepoint,
 )
 from repro.errors import SimulationError
 from repro.instrument.events import (
@@ -45,10 +49,10 @@ from repro.instrument.events import (
     OUTCOME_SPECULATIVE_WASTE,
     SPECULATE,
     STAGE_RUN,
+    STAGE_TASK,
 )
 from repro.integration.history import Timepoint, TimepointHistory
 from repro.integration.methods import scheme_coefficients
-from repro.linalg.solve import LinearSolver
 from repro.mna.compiler import CompiledCircuit, compile_circuit
 from repro.mna.system import MnaSystem
 from repro.parallel.clock import VirtualClock
@@ -135,6 +139,7 @@ class PipelineEngine(TransientEngine):
             compiled = compile_circuit(compiled, options)
         options = options or compiled.options
         system = MnaSystem(compiled)
+        self.threads = threads  # one solver lane per thread
         super().__init__(
             system,
             lambda stats: _initial_solution(system, options, uic, node_ics, stats),
@@ -144,11 +149,12 @@ class PipelineEngine(TransientEngine):
             scheme=self.scheme_name,
         )
         self.compiled = compiled
-        self.threads = threads
         self._run_tags = {"threads": threads}
         self.executor = executor or SerialExecutor()
-        #: Shared with the executor so stage tasks land on per-lane trace rows.
+        #: Shared with the executor (a chaos executor counts on it).
         self.executor.recorder = self.recorder
+        #: Open ``stage_run`` span of a traced stage: its tasks' parent.
+        self._stage_span = 0
         self.stats = PipelineStats(
             clock=VirtualClock(sync_overhead=self.options.sync_overhead)
         )
@@ -249,10 +255,10 @@ class PipelineEngine(TransientEngine):
         """One pipeline stage, run as a ``stage_run`` span when tracing.
 
         The span is the parent of this stage's task spans: pool threads
-        cannot see the scheduler thread's span stack, so the executor
-        carries the id explicitly for the duration of the stage. It is
-        closed in the ``finally`` so a stage that raises (step underflow,
-        chaos faults) still leaves a balanced tree for diagnosis.
+        cannot see the scheduler thread's span stack, so
+        :meth:`solve_stage` passes the id explicitly. It is closed in the
+        ``finally`` so a stage that raises (step underflow, chaos faults)
+        still leaves a balanced tree for diagnosis.
         """
         rec = self.recorder
         if not rec.enabled:
@@ -261,12 +267,10 @@ class PipelineEngine(TransientEngine):
         accepted_before = self.stats.accepted_points
         virtual_before = clock.virtual_work
         widths_before = len(clock._stage_widths)
-        sid = rec.begin_span(STAGE_RUN, stage=self.attempts - 1)
-        self.executor.parent_span = sid
+        sid = self._stage_span = rec.begin_span(STAGE_RUN, stage=self.attempts - 1)
         try:
             self._advance()
         finally:
-            self.executor.parent_span = None
             width = (
                 clock._stage_widths[-1]
                 if len(clock._stage_widths) > widths_before
@@ -298,30 +302,48 @@ class PipelineEngine(TransientEngine):
 
     # -- shared services --------------------------------------------------------
 
-    def make_point_task(
-        self,
-        history: TimepointHistory,
-        t_new: float,
-        force_be: bool,
-        iter_cap: int | None = None,
-    ):
-        """Closure solving one time point with task-private scratch state."""
-        system, options = self.system, self.options
+    def solve_stage(self, tasks: list[PointTask]) -> list[PointSolution]:
+        """Solve one stage's independent tasks on the executor, in order.
 
-        def task() -> PointSolution:
-            return solve_timepoint(
-                system,
-                history,
-                t_new,
-                options,
-                force_be,
-                buffers=system.make_buffers(),
-                solver=LinearSolver(system.unknown_names, system.pattern),
-                iter_cap=iter_cap,
-                kernel=self._kernel,
+        Task k runs in lane k, so no two concurrent tasks share scratch
+        state, and whatever order the executor runs them in, each lane
+        sees the same solves in the same order as under
+        :class:`~repro.parallel.executors.SerialExecutor`.
+        """
+        if len(tasks) > self.threads:
+            raise SimulationError(
+                f"a stage of {len(tasks)} tasks exceeds the engine's "
+                f"{self.threads} lanes"
             )
+        solve = self._traced_point if self.recorder.enabled else self.solve_point
+        return self.executor.run_stage(
+            [partial(solve, task, lane) for lane, task in enumerate(tasks)]
+        )
 
-        return task
+    def _traced_point(self, task: PointTask, lane: int) -> PointSolution:
+        """:meth:`solve_point` as a ``stage_task`` span on trace lane
+        *lane* + 1 (0 is the scheduler); the verify phase tags the
+        solution's outcome on it later. Newton spans nest under it."""
+        rec = self.recorder
+        stage = self.attempts - 1
+        sid = rec.begin_span(
+            STAGE_TASK, lane=lane + 1, t_sim=task.t, parent=self._stage_span
+        )
+        try:
+            solution = self.solve_point(task, lane)
+        except BaseException:
+            rec.end_span(sid, cost=0.0, stage=stage)
+            raise
+        work = solution.result.work_units
+        rec.end_span(
+            sid,
+            cost=work,
+            stage=stage,
+            work_units=work,
+            iterations=solution.result.iterations,
+        )
+        solution.span_id = sid
+        return solution
 
     def record_speculate(self, solution: PointSolution, success: bool,
                          iterations: int, hit: bool, spec=None,
@@ -351,7 +373,7 @@ class PipelineEngine(TransientEngine):
         if success:
             rec.count("speculate.useful_work", spec.result.work_units)
             rec.tag_span(
-                getattr(spec, "span_id", None),
+                spec.span_id,
                 outcome=OUTCOME_SPECULATIVE_HIT if hit else OUTCOME_ACCEPTED,
             )
 
@@ -360,23 +382,15 @@ class PipelineEngine(TransientEngine):
 
         The corrective Newton starts from the speculative iterate, so a
         good prediction converges almost immediately; it runs inline on
-        the scheduler thread and is charged serially. Returns False when
-        the point was discarded (Newton failure or LTE rejection) — a
-        forward cascade stops there.
+        the scheduler thread, in lane 0, after its stage has finished, and
+        is charged serially. Returns False when the point was discarded
+        (Newton failure or LTE rejection) — a forward cascade stops there.
         """
         x0 = spec.result.x
         if not np.all(np.isfinite(x0)):
             x0 = None  # speculation exploded: fall back to the predictor
-        corrected = solve_timepoint(
-            self.system,
-            self.history,
-            spec.t,
-            self.options,
-            force_be=False,
-            buffers=self.system.make_buffers(),
-            solver=LinearSolver(self.system.unknown_names, self.system.pattern),
-            x_guess=x0,
-            kernel=self._kernel,
+        corrected = self.solve_point(
+            PointTask(self.history, spec.t, False, x_guess=x0)
         )
         iterations = corrected.result.iterations
         gap = corrected.t - self.t
@@ -420,7 +434,7 @@ class PipelineEngine(TransientEngine):
                 if speculative:
                     rec.count("speculate.wasted_work", sol.result.work_units)
                 rec.tag_span(
-                    getattr(sol, "span_id", None),
+                    sol.span_id,
                     outcome=OUTCOME_SPECULATIVE_WASTE,
                     overwrite=False,
                 )
@@ -438,14 +452,14 @@ class PipelineEngine(TransientEngine):
     def predicted_timepoint(self, history: TimepointHistory, t_new: float) -> Timepoint:
         """Speculative history entry at *t_new* from the polynomial predictor.
 
-        Its charge comes from a charge-only evaluation in the engine's
-        one-wide-stage buffers, which that evaluation leaves fit for the
-        next Newton solve. No work is booked for it: the cost model
+        Its charge comes from a charge-only evaluation in lane 0's
+        buffers, which that evaluation leaves fit for the next Newton
+        solve. No work is booked for it: the cost model
         prices Newton solves only, and this runs on the scheduler thread
         before the stage starts.
         """
         x_hat = history.predict(t_new, self.options.predictor_order)
-        q_hat = self.system.charge_at(x_hat, self._buffers)
+        q_hat = self.system.charge_at(x_hat, self._lanes[0][0])
         scheme = scheme_coefficients(self.options.method, history, t_new)
         return Timepoint(t_new, x_hat, q_hat, scheme.qdot(q_hat))
 

@@ -91,6 +91,20 @@ def kernel_for(system: MnaSystem) -> Kernel:
     )
 
 
+@dataclass(frozen=True)
+class PointTask:
+    """One time point to solve, as data: the history it integrates
+    against, its target time and how the solve is bounded. Where it is
+    solved (which lane's buffers and solver) is the engine's business."""
+
+    history: TimepointHistory
+    t: float
+    force_be: bool
+    iter_cap: int | None = None
+    #: Newton's starting iterate (default: the history's predictor).
+    x_guess: np.ndarray | None = None
+
+
 @dataclass
 class PointSolution:
     """One attempted time point: Newton outcome plus its integration scheme."""
@@ -98,6 +112,8 @@ class PointSolution:
     t: float
     result: NewtonResult
     scheme: SchemeCoefficients
+    #: Its ``stage_task`` trace span (0: untraced or a one-wide stage).
+    span_id: int = 0
 
     @property
     def converged(self) -> bool:
@@ -116,30 +132,30 @@ def solve_timepoint(
     t_new: float,
     options: SimOptions,
     force_be: bool,
-    buffers=None,
-    solver: LinearSolver | BlockSolver | None = None,
+    buffers,
+    solver: LinearSolver | BlockSolver,
+    kernel: Kernel,
     x_guess: np.ndarray | None = None,
     iter_cap: int | None = None,
-    kernel: Kernel | None = None,
 ) -> PointSolution:
     """Newton-solve the circuit at *t_new* against *history*.
 
     The initial guess defaults to the polynomial predictor. The returned
     solution carries q and qdot so it can be appended to a history
-    directly. Stateless with respect to *system*: safe for concurrent
-    WavePipe tasks, each with its own *buffers* and *solver*. On an
-    ensemble system the history carries ``(n, K)`` state, so predictor,
-    ``beta`` and charge derivative inherit the variant axis elementwise.
-    *kernel* is ``kernel_for(system)``, which an engine resolves once.
+    directly. Stateless with respect to *system*: concurrent WavePipe
+    tasks are safe because each runs in its own lane's *buffers* and
+    *solver* (:meth:`TransientEngine.solve_point`). On an ensemble system
+    the history carries ``(n, K)`` state, so predictor, ``beta`` and
+    charge derivative inherit the variant axis elementwise. *kernel* is
+    ``kernel_for(system)``, which an engine resolves once.
     """
-    buffers = buffers if buffers is not None else system.make_buffers()
     scheme = scheme_coefficients(options.method, history, t_new, force_be=force_be)
     if x_guess is None:
         if options.newton_guess == "predictor":
             x_guess = history.predict(t_new, options.predictor_order)
         else:
             x_guess = history.last.x
-    result = (kernel or kernel_for(system)).newton(
+    result = kernel.newton(
         system,
         t_new,
         scheme.alpha0,
@@ -322,6 +338,7 @@ class TransientEngine:
     then share one grid and one controller.
     """
 
+    #: Solver lanes, one per concurrent task of a stage.
     threads = 1
 
     def __init__(
@@ -356,11 +373,15 @@ class TransientEngine:
         self.controller = StepController(
             options, self.tstop, h0, system.compiled.collect_breakpoints(self.tstop)
         )
-        # The one-wide stage's scratch: kept for the whole run, so factors
-        # carry over between time points.
+        # One (buffers, solver) lane per thread, kept for the whole run so
+        # factors carry over between time points. Lane k serves stage
+        # slot k, lane 0 also the one-wide stage; a pipelined subclass
+        # sets ``threads`` before calling this.
         self._kernel = kernel_for(system)
-        self._buffers = system.make_buffers()
-        self._solver = self._kernel.make_solver()
+        self._lanes = [
+            (system.make_buffers(), self._kernel.make_solver())
+            for _ in range(self.threads)
+        ]
         #: Open ``timestep`` span of a traced one-wide stage (0 = none).
         self._step_span = 0
         self._ran = False
@@ -436,19 +457,34 @@ class TransientEngine:
             self._step_span = self.recorder.begin_span(
                 TIMESTEP, t_sim=self.t + h, h=h, **self._tags
             )
-        solution = solve_timepoint(
-            self.system,
-            self.history,
-            self.t + h,
-            self.options,
-            self.controller.force_be,
-            self._buffers,
-            self._solver,
-            kernel=self._kernel,
+        solution = self.solve_point(
+            PointTask(self.history, self.t + h, self.controller.force_be)
         )
         self.charge_solution(solution)
         self.verify_ascending([solution], [h])
         return solution
+
+    def solve_point(self, task: PointTask, lane: int = 0) -> PointSolution:
+        """Newton-solve *task* in lane *lane*'s buffers and solver.
+
+        The one place the engines solve a time point. A lane runs at most
+        one task at a time: the one-wide stage and a forward scheme's
+        inline corrective re-solve use lane 0, and a wide stage binds
+        task k to lane k (:meth:`~repro.core.pipeline.PipelineEngine.solve_stage`).
+        """
+        buffers, solver = self._lanes[lane]
+        return solve_timepoint(
+            self.system,
+            task.history,
+            task.t,
+            self.options,
+            task.force_be,
+            buffers,
+            solver,
+            self._kernel,
+            task.x_guess,
+            task.iter_cap,
+        )
 
     # -- the one accept / reject path ---------------------------------------------
 
@@ -625,7 +661,7 @@ class TransientEngine:
             )
             self._step_span = 0
         else:
-            self.recorder.tag_span(getattr(solution, "span_id", None), outcome=outcome)
+            self.recorder.tag_span(solution.span_id, outcome=outcome)
 
 
 def _build_waveforms(system: MnaSystem, times, xs) -> "WaveformSet":

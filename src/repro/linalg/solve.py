@@ -34,11 +34,17 @@ moves *to* position ``perm_c[i]``, so the permuted matrix is
 ``A[:, argsort(perm_c)]``, not ``A[:, perm_c]``.) A solver built with
 its system's :class:`~repro.mna.pattern.JacobianPattern` takes the
 ordering the pattern computed once; any other sparse matrix is ordered
-on the spot.
+on the spot. A factorisation that reports an exactly singular factor
+under the threshold pivot is retried once with partial pivoting
+(``diag_pivot_thresh=1.0``) before it is declared singular: an MNA
+matrix is not diagonally dominant (a voltage source's branch row has
+only ``gshunt`` on its diagonal), and on long inverter chains the
+threshold pivot can leave the symmetric order without a usable pivot.
 
-All cache state is per-instance: WavePipe tasks each own a solver, so
-reuse never crosses thread boundaries. The one thing solvers share is
-their pattern's ordering, which is read-only once computed.
+All cache state is per-instance: each engine lane owns a solver and runs
+at most one task per stage, so reuse never crosses thread boundaries.
+The one thing solvers share is their pattern's ordering, which is
+read-only once computed.
 """
 
 from __future__ import annotations
@@ -64,6 +70,9 @@ DENSE_CUTOFF = 40
 #: SuperLU's defaults (wide panels, relaxed supernodes) factor the 1 025-
 #: unknown grid 2.3x and a 1 000-stage inverter chain 60x slower.
 SPLU_OPTIONS = {"diag_pivot_thresh": 1e-3, "panel_size": 1, "relax": 1}
+
+#: The one retry of a factorisation the threshold pivot found singular.
+PARTIAL_PIVOT = {**SPLU_OPTIONS, "diag_pivot_thresh": 1.0}
 
 
 class SparseOrder:
@@ -94,13 +103,14 @@ class SparseOrder:
 class LinearSolver:
     """Factor-and-solve helper bound to one matrix size.
 
-    Instances are cheap; WavePipe tasks each use their own. The cached
-    factorisation lives on the instance, never in shared state, and owns
-    its memory: the dense path keeps the ``dgetrf`` factors plus a copy
-    of the matrix, the sparse path the SuperLU factors plus the permuted
-    gather it factored (the reference a failed back-solve names its
-    suspect unknown from), so the aliased workspace matrix it was handed
-    may be reassembled at once. Failure is always a
+    Each engine lane keeps one for the whole run, and a lane runs at
+    most one WavePipe task at a time. The cached factorisation lives on
+    the instance, never in shared state, and owns its memory: the dense
+    path keeps the ``dgetrf`` factors plus a copy of the matrix, the
+    sparse path the SuperLU factors plus the permuted gather it factored
+    (the reference a failed back-solve names its suspect unknown from),
+    so the aliased workspace matrix it was handed may be reassembled at
+    once. Failure is always a
     :class:`~repro.errors.SingularMatrixError` — from ``dgetrf``'s
     ``info`` (an exactly zero pivot), a non-finite factor (a NaN/inf
     stamp) or a non-finite solution — never a LAPACK warning.
@@ -274,12 +284,15 @@ class LinearSolver:
             warnings.simplefilter("ignore", spla.MatrixRankWarning)
             try:
                 lu = spla.splu(permuted, permc_spec="NATURAL", **SPLU_OPTIONS)
-            except RuntimeError as exc:
-                self._mode = None
-                raise SingularMatrixError(
-                    f"sparse factorisation failed: {exc}",
-                    unknown=self._suspect_sparse(permuted, order.q),
-                ) from None
+            except RuntimeError:
+                try:
+                    lu = spla.splu(permuted, permc_spec="NATURAL", **PARTIAL_PIVOT)
+                except RuntimeError as exc:
+                    self._mode = None
+                    raise SingularMatrixError(
+                        f"sparse factorisation failed: {exc}",
+                        unknown=self._suspect_sparse(permuted, order.q),
+                    ) from None
         self._sparse_lu = (lu, order.q)
         self._sparse_ref = permuted
         self._dense_lu = None

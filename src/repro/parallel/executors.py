@@ -1,7 +1,9 @@
 """Stage executors: how a set of independent tasks actually runs.
 
 WavePipe's schedulers emit *stages* — lists of closures with no mutual
-data dependencies. Two interchangeable runtimes execute them:
+data dependencies (the pipeline engine binds each stage task to its own
+solver lane before handing it over). Two interchangeable runtimes
+execute them:
 
 * :class:`SerialExecutor` runs tasks in order on the calling thread. With
   the virtual clock this is the deterministic reference runtime (and, on
@@ -11,21 +13,16 @@ data dependencies. Two interchangeable runtimes execute them:
   persistent lane threads, fed through ``queue.SimpleQueue``, run the
   rest (slot *k* on lane ``k % max_workers``, lane 0 being the caller).
   There is no pool hop for the first task and no pool bookkeeping per
-  task. Results are bit-identical to the serial runtime because tasks
-  are stateless with respect to shared objects (each allocates its own
+  task. Results are bit-identical to the serial runtime because no two
+  tasks of a stage share mutable state (each runs in its own lane's
   buffers and solver); this runtime demonstrates that the decomposition
   is genuinely concurrent and would scale on a GIL-free multi-core
   interpreter.
 
 Both return results in task order regardless of completion order, and
 both let every task of a stage finish before the first failure in task
-order is raised.
-
-Observability: when a :class:`~repro.instrument.Recorder` is attached
-(``executor.recorder``, set by the pipeline engine), every task emits a
-``stage_task`` event on its lane — lane *k+1* is task slot *k* of a
-stage — which is what the Chrome-trace exporter turns into per-thread
-occupancy rows.
+order is raised. Tracing is the caller's: the pipeline engine opens each
+task's ``stage_task`` span inside the closure it hands over.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ import weakref
 from typing import Callable, Sequence
 
 from repro.errors import SimulationError
-from repro.instrument.events import STAGE_TASK
 
 
 class StageExecutor(abc.ABC):
@@ -46,14 +42,6 @@ class StageExecutor(abc.ABC):
 
     #: Optional Recorder; the owning pipeline engine attaches its own.
     recorder = None
-
-    #: Span id of the currently-running stage (set by the engine around
-    #: each ``run_stage`` call); task spans attach to it explicitly since
-    #: pool threads don't share the scheduler thread's span stack.
-    parent_span = None
-
-    #: Monotonic stage counter (tags stage_task events).
-    _stage_index = 0
 
     @abc.abstractmethod
     def run_stage(self, tasks: Sequence[Callable[[], object]]) -> list[object]:
@@ -68,62 +56,12 @@ class StageExecutor(abc.ABC):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- instrumentation ---------------------------------------------------------
-
-    def _instrumented(self, tasks: Sequence[Callable[[], object]]):
-        """Wrap *tasks* so each records a lane-tagged ``stage_task`` span.
-
-        Returns *tasks* untouched when no enabled recorder is attached —
-        the uninstrumented path adds zero per-task overhead. The span id
-        is stashed on the returned solution (``result.span_id``) so the
-        scheduler's verify/commit phase can tag the outcome after the
-        fact; Newton solves inside the task auto-nest under it.
-        """
-        rec = self.recorder
-        if rec is None or not rec.enabled:
-            return tasks
-        stage = self._stage_index
-        self._stage_index += 1
-        parent = self.parent_span
-
-        def wrap(task, lane):
-            def run():
-                sid = rec.begin_span(STAGE_TASK, lane=lane + 1, parent=parent)
-                result = None
-                try:
-                    result = task()
-                finally:
-                    attrs = {"stage": stage}
-                    # Solutions carry their target time and Newton cost;
-                    # stay duck-typed so arbitrary closures keep working.
-                    t_sim = getattr(result, "t", None)
-                    inner = getattr(result, "result", None)
-                    work = getattr(inner, "work_units", None)
-                    if work is not None:
-                        attrs["work_units"] = work
-                        attrs["iterations"] = getattr(inner, "iterations", None)
-                    rec.end_span(
-                        sid,
-                        cost=work if work is not None else 0.0,
-                        t_sim=t_sim if isinstance(t_sim, float) else None,
-                        **attrs,
-                    )
-                    try:
-                        result.span_id = sid
-                    except AttributeError:
-                        pass
-                return result
-
-            return run
-
-        return [wrap(task, lane) for lane, task in enumerate(tasks)]
-
 
 class SerialExecutor(StageExecutor):
     """Deterministic in-order execution on the calling thread."""
 
     def run_stage(self, tasks: Sequence[Callable[[], object]]) -> list[object]:
-        return [task() for task in self._instrumented(tasks)]
+        return [task() for task in tasks]
 
 
 class ThreadExecutor(StageExecutor):
@@ -152,7 +90,6 @@ class ThreadExecutor(StageExecutor):
             raise SimulationError(
                 "ThreadExecutor is closed; create a new executor to run more stages"
             )
-        tasks = self._instrumented(tasks)
         width = self.max_workers
         outcomes: list[tuple[bool, object] | None] = [None] * len(tasks)
         done = queue.SimpleQueue()

@@ -111,19 +111,17 @@ def eval_factor(system: MnaSystem) -> float:
 def factor_key(system: MnaSystem, alpha0: float, reuse: bool):
     """The key one Newton solve tags its factors with (None: never reuse).
 
-    With *reuse* on, factors carry across solves under the same pattern
-    (by identity), alpha0 and gshunt (gmin stepping mutates it). A linear
-    system's Jacobian is its static stamps alone, so there any match is
-    the exact operator, and with *reuse* off it still reuses the first
-    iteration's factors for the rest of the solve. That key is private to
-    the solve: a sequential run keeps one solver for the whole run while
-    pipelined tasks each get a fresh one, so unconditional hits across
-    solves would price the sequential baseline below the same solves
-    pipelined.
+    Factors carry across iterations and solves under the same pattern
+    (by identity), alpha0 and gshunt (gmin stepping mutates it): with
+    *reuse* on as the approximate Jacobian bypass, and always on a linear
+    system, whose Jacobian is its static stamps alone, so that any match
+    there is the exact operator. Every solver lives across solves (one
+    per engine lane), so the rule prices sequential and pipelined solves
+    alike.
     """
-    if reuse:
+    if reuse or not system.has_nonlinear:
         return (system.pattern, alpha0, system.gshunt)
-    return None if system.has_nonlinear else object()
+    return None
 
 
 def newton_solve(

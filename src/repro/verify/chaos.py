@@ -61,9 +61,6 @@ class ChaosExecutor(StageExecutor):
 
     def run_stage(self, tasks: Sequence[Callable[[], object]]) -> list[object]:
         rec = self.recorder
-        # the inner runtime carries the instrumentation, same as when the
-        # pipeline engine drives it directly
-        self.inner.recorder = rec
         order = list(range(len(tasks)))
         self._rng.shuffle(order)
         scrambled = [self._wrap(tasks[i]) for i in order]

@@ -152,3 +152,67 @@ def test_no_full_eval_only_to_read_the_charge():
                 f"{rel}:{func.name} runs a full eval without using its stamps"
             )
     assert "solver/newton.py:_newton_iterate" in sites
+
+
+# -- one point solve; per-solve scratch state lives in the lanes ------------------
+
+#: Where an engine allocates solver scratch state: its lanes, built once
+#: per run, and the kernel's solver factory they are built from.
+ALLOCATION_SITES = {
+    "engine/transient.py:TransientEngine.__init__",
+    "engine/transient.py:kernel_for",
+}
+
+
+class _Callers(ast.NodeVisitor):
+    """{callee name: [innermost enclosing ``Class.function``, ...]}."""
+
+    def __init__(self, prefix: str, found: dict[str, list[str]]):
+        self.prefix = prefix
+        self.found = found
+        self.scope: list[str] = []
+
+    def _nest(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _nest
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in self.found:
+            self.found[name].append(f"{self.prefix}:{'.'.join(self.scope)}")
+        self.generic_visit(node)
+
+
+def _callers(*names: str) -> dict[str, list[str]]:
+    found: dict[str, list[str]] = {name: [] for name in names}
+    for package in ("engine", "core"):
+        for path in sorted((SRC / package).glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            _Callers(f"{package}/{path.name}", found).visit(tree)
+    return found
+
+
+def test_one_function_solves_a_time_point():
+    """Sequential step, stage tasks and corrective re-solves all go
+    through ``TransientEngine.solve_point``, which picks the lane."""
+    callers = _callers("solve_timepoint")["solve_timepoint"]
+    assert callers == ["engine/transient.py:TransientEngine.solve_point"]
+
+
+def test_scratch_state_is_allocated_only_for_the_lanes():
+    """A task that built its own buffers or solver would start cold
+    (no factors carried across stages) and price pipelined solves
+    differently from the sequential ones."""
+    found = _callers("make_buffers", "LinearSolver", "BlockSolver")
+    assert found["make_buffers"], "the lanes are no longer built here?"
+    for name, sites in found.items():
+        assert set(sites) <= ALLOCATION_SITES, (name, sites)
+
+
+def test_executors_run_closures_without_inspecting_results():
+    text = (SRC / "parallel" / "executors.py").read_text(encoding="utf-8")
+    assert "getattr(" not in text
