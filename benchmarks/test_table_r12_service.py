@@ -7,8 +7,8 @@ mixed workload with zero request errors, drains completely, and
 executes each distinct spec exactly once: submissions minus dedups
 equals completed jobs equals unique content hashes.  Because the load
 generator's op sequence is seeded and response-independent and the
-monitoring endpoints are unmetered, the counter dump is deterministic
-and feeds the ``repro perf diff`` gate.
+monitoring endpoints are unmetered, the smoke's counters are
+deterministic and pinned exactly in ``smoke_counts.json``.
 """
 
 from repro.bench.experiments import table_r12, table_r12_smoke

@@ -15,7 +15,6 @@ def test_table_r4_combined(run_once):
 
 
 def test_table_r4_smoke(run_once):
-    # Feeds the perf gate's speculation-benefit channels
-    # (speculate.successes, pipeline.stages) via its metrics dump.
+    # Its count pin holds speculate.successes and pipeline.stages exactly.
     result = run_once(table_r4_smoke)
     assert result.data["geomean"][3] >= 1.0

@@ -141,10 +141,9 @@ def table_r4(threads=(3, 4), names=None, exp_id="table_r4") -> ExperimentResult:
 def table_r4_smoke() -> ExperimentResult:
     """Two-circuit combined-scheme subset for CI smoke runs.
 
-    This is the perf-gate's window onto the speculation-benefit channels
-    (``speculate.successes``, ``pipeline.stages``): a pipelined run that
-    stops speculating or stops forming stages moves those counters down,
-    which ``repro perf diff`` treats as the regression direction.
+    Its count pin holds the speculation channels (``speculate.successes``,
+    ``pipeline.stages``) exactly: a pipelined run that stops speculating
+    or stops forming stages moves those counters and fails the smoke.
     """
     return table_r4(threads=(3,), names=["ring5", "rectifier"],
                     exp_id="table_r4_smoke")
@@ -792,10 +791,9 @@ def table_r11(
 def table_r11_smoke() -> ExperimentResult:
     """Two-circuit, six-variant Table R11 subset for CI smoke runs.
 
-    This is the perf-gate's window onto the ensemble benefit channel
-    (``ensemble.variants_per_solve``): a backend that stops batching
-    variants into shared solves moves that counter down, which
-    ``repro perf diff`` treats as the regression direction.
+    Its count pin holds ``ensemble.variants_per_solve`` exactly: a
+    backend that stops batching variants into shared solves moves that
+    counter and fails the smoke.
     """
     # Seeds pick one linear and one nonlinear single-block family
     # (rc-ladder, bjt-follower). Multi-block families are out: shared-grid
@@ -828,10 +826,9 @@ def table_r12(
     Every counter the run leaves behind is deterministic — the op
     sequence is seeded and response-independent, monitoring probes are
     unmetered, and each unique spec simulates exactly once no matter
-    which node claims it — so the dump doubles as the perf gate's view
-    of the service stack: queue dedup rate, per-node completion split,
-    and the solver work behind the farm are all trended by
-    ``repro perf diff``.
+    which node claims it — so the smoke subset pins the service stack's
+    counts exactly: queue dedups, node completions, and the solver work
+    behind the farm.
     """
     import tempfile
     import time
@@ -900,7 +897,7 @@ def table_r12(
 def table_r12_smoke() -> ExperimentResult:
     """Sixty-request Table R12 subset for CI smoke runs.
 
-    The perf gate trends its ``service.*`` counters: a falling
+    Its count pin holds the ``service.*`` counters exactly: a falling
     ``service.deduped`` means the content-hash dedup stopped absorbing
     repeat submissions, and any growth in solver work for the same fixed
     op sequence means jobs are being resimulated instead of served from
@@ -1080,12 +1077,11 @@ def table_r13(
 def table_r13_smoke() -> ExperimentResult:
     """Two-workload Table R13 subset for CI smoke runs.
 
-    Keeps both headline wins under the perf gate: the multirate jacobi
+    Keeps both headline wins under the count pin: the multirate jacobi
     row that beats the monolithic virtual clock, and the deep-chain
-    seidel row that beats the relaxation baseline's sweep count. The
-    gate trends ``wtm.outer_iterations`` in its default direction —
-    more outer iterations for the same workloads is a convergence
-    regression.
+    seidel row that beats the relaxation baseline's sweep count. The pin
+    holds ``wtm.outer_iterations`` exactly — more outer iterations for
+    the same workloads is a convergence regression.
     """
     return table_r13(
         workloads=(

@@ -23,7 +23,7 @@ CLAIMS = {
     "table_r2": "Backward pipelining speeds up transient simulation using 2+ threads without changing accuracy; gains are workload-dependent (coarse-grained parallelism, modest efficiency).",
     "table_r3": "Forward (predictive) pipelining yields additional speedup where Newton solves are expensive; degrades gracefully (to ~1.0x) where solves are cheap.",
     "table_r4": "The combined scheme adapts per-regime and matches or beats the better single scheme on aggregate.",
-    "table_r4_smoke": "CI smoke subset of Table R4 (two circuits, 3 threads); same aggregate expectation, and its metrics dump feeds the perf gate's speculation-benefit channels.",
+    "table_r4_smoke": "CI smoke subset of Table R4 (two circuits, 3 threads); same aggregate expectation, with its speculation and pipeline-stage counters pinned exactly.",
     "table_r5": "WavePipe does not jeopardise accuracy: accepted waveforms match sequential within integration tolerance (oscillator phase aside).",
     "table_r7": "Extension (no paper counterpart): the two schemes respond oppositely to tolerance — backward gains track rejection/ramp pressure (strongest at loose-to-mid reltol), forward gains track prediction quality (grow as reltol tightens); combined stays between them. No configuration regresses below ~1.0.",
     "table_r8": "Extension (no paper counterpart): WavePipe parallelises the time axis, so speedup is roughly independent of circuit size — the property that lets coarse-grained gains compose with (rather than compete against) fine-grained parallelism.",
@@ -33,11 +33,11 @@ CLAIMS = {
     "table_r10": "Extension (no paper counterpart): job-level parallelism through the repro.jobs process pool scales Monte Carlo campaign throughput with worker count on multi-core hosts (processes sidestep the GIL — the axis orthogonal to WavePipe's intra-run pipelining), and the content-addressed result cache serves a campaign re-run without executing a single job.",
     "table_r10_smoke": "CI smoke subset of Table R10 (4-job campaign, 2-worker pool); same correctness/caching expectations without the scaling claim.",
     "table_r11": "Extension (no paper counterpart): Monte Carlo variants of one topology share a single vectorized transient solve — one adaptive grid and one Newton history across K parameter-jittered instances — beating the same campaign run as independent process-pool jobs in both virtual-clock work and wall time, with every variant within the loose (1e-3) rung against its own sequential run.",
-    "table_r11_smoke": "CI smoke subset of Table R11 (two families, 6 variants, 2 workers); same both-clocks win and per-variant accuracy expectations, and its metrics dump feeds the perf gate's ensemble.variants_per_solve benefit channel.",
-    "table_r12": "Extension (no paper counterpart): the simulation service — persistent content-hash queue, farm nodes sharing one result cache, stdlib HTTP front end — absorbs a seeded 200-request mixed workload (duplicate submissions, campaign bursts, status polls, rotating tenants) with zero errors, drains completely, and executes each distinct spec exactly once; the counter dump is deterministic and trends the queue dedup rate and per-node completion split in the perf gate.",
-    "table_r12_smoke": "CI smoke subset of Table R12 (60 requests, 6 unique specs, 2 in-process nodes); same zero-error drain and exactly-once execution expectations, with service.* counters gated by repro perf diff.",
+    "table_r11_smoke": "CI smoke subset of Table R11 (two families, 6 variants, 2 workers); same both-clocks win and per-variant accuracy expectations, with its ensemble.* counters pinned exactly.",
+    "table_r12": "Extension (no paper counterpart): the simulation service — persistent content-hash queue, farm nodes sharing one result cache, stdlib HTTP front end — absorbs a seeded 200-request mixed workload (duplicate submissions, campaign bursts, status polls, rotating tenants) with zero errors, drains completely, and executes each distinct spec exactly once; every service counter is deterministic, so the smoke subset pins them exactly.",
+    "table_r12_smoke": "CI smoke subset of Table R12 (60 requests, 6 unique specs, 2 in-process nodes); same zero-error drain and exactly-once execution expectations, with service.* counters pinned exactly (wall-clock latencies aside).",
     "table_r13": "Extension (no paper counterpart): waveform-transmission domain decomposition composes with per-partition WavePipe pipelining — on a rate-disparate multi-block workload the multirate Gauss-Jacobi run beats the best monolithic virtual-clock cost outright (global step control must run dense everywhere; partitioned quiet blocks stride), the Gauss-Seidel coordinator needs fewer outer sweeps than the naive waveform-relaxation baseline on the same cut, and every headline configuration classifies loose (1e-3) or tighter against the verification-grade monolithic reference.",
-    "table_r13_smoke": "CI smoke subset of Table R13 (multirate jacobi on mixedrate6, seidel on rcblocks6); same beat-the-monolith and beat-the-baseline expectations, with wtm.* counters — wtm.outer_iterations foremost — gated by repro perf diff.",
+    "table_r13_smoke": "CI smoke subset of Table R13 (multirate jacobi on mixedrate6, seidel on rcblocks6); same beat-the-monolith and beat-the-baseline expectations, with wtm.* counters — wtm.outer_iterations foremost — pinned exactly.",
     "fig_r1": "Speedup grows from exactly 1.0 at one thread and saturates quickly — coarse-grained application-level parallelism, not linear scaling.",
     "fig_r2": "Pipelining covers the same simulated window in fewer stages than the sequential run has points (the speedup mechanism made visible).",
     "fig_r3": "Pipelined waveforms overlay the sequential ones; oscillation frequency matches within a fraction of a percent.",

@@ -18,10 +18,6 @@ checkpointed into a campaign store for resume. ``--heartbeat FILE`` /
 it runs; ``--serve-metrics PORT`` exposes a Prometheus ``/metrics``
 endpoint.
 
-``python -m repro perf`` maintains the committed bench baseline
-(``benchmarks/BENCH_BASELINE.json``) and diffs fresh ``BENCH_METRICS``
-dumps against it, exiting nonzero on regression.
-
 Examples::
 
     python -m repro lowpass.cir
@@ -34,7 +30,6 @@ Examples::
         --heartbeat beats.jsonl --progress
     python -m repro batch --circuit rectifier --montecarlo 16 --ensemble 16
     python -m repro lowpass.cir --ensemble 8 --jitter 0.02 --seed 5
-    python -m repro perf diff --baseline benchmarks/BENCH_BASELINE.json
 """
 
 from __future__ import annotations
@@ -370,62 +365,12 @@ def _run_explain(argv: list[str]) -> int:
     return 0
 
 
-def build_perf_parser() -> argparse.ArgumentParser:
-    from repro.instrument.perf import DEFAULT_BASELINE, DEFAULT_TOLERANCE
-
-    parser = argparse.ArgumentParser(
-        prog="repro perf",
-        description="Perf trending over the bench harness's BENCH_METRICS "
-        "dumps: build a committed baseline, diff fresh runs against it",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    baseline = sub.add_parser(
-        "baseline", help="canonicalize BENCH_METRICS_*.json into a baseline file"
-    )
-    baseline.add_argument(
-        "--metrics-dir", default="benchmarks", metavar="DIR",
-        help="directory holding BENCH_METRICS_*.json (default: benchmarks)",
-    )
-    baseline.add_argument(
-        "--out", default=DEFAULT_BASELINE, metavar="FILE",
-        help=f"baseline file to write (default: {DEFAULT_BASELINE})",
-    )
-    diff = sub.add_parser(
-        "diff", help="compare fresh metrics dumps against a baseline; "
-        "exit 1 on regression"
-    )
-    diff.add_argument(
-        "--metrics-dir", default="benchmarks", metavar="DIR",
-        help="directory holding the fresh BENCH_METRICS_*.json",
-    )
-    diff.add_argument(
-        "--baseline", default=DEFAULT_BASELINE, metavar="FILE",
-        help=f"baseline to compare against (default: {DEFAULT_BASELINE})",
-    )
-    diff.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help=f"relative tolerance before a movement counts "
-        f"(default {DEFAULT_TOLERANCE})",
-    )
-    diff.add_argument(
-        "--metric-tolerance", action="append", default=[], metavar="NAME=TOL",
-        help="per-metric tolerance override (flattened key like "
-        "counters.newton.iterations, or bare channel name); repeatable",
-    )
-    diff.add_argument(
-        "--json", metavar="FILE", help="write the machine-readable diff report"
-    )
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] == ["verify"]:
         return _run_verify(argv[1:])
     if argv[:1] == ["batch"]:
         return _run_batch(argv[1:])
-    if argv[:1] == ["perf"]:
-        return _run_perf(argv[1:])
     if argv[:1] == ["explain"]:
         return _run_explain(argv[1:])
     if argv[:1] == ["serve"]:
@@ -493,83 +438,6 @@ def _run_verify(argv: list[str]) -> int:
         for name in sorted(recorder.counters):
             print(f"  {name} = {recorder.counters[name]:g}")
     return 0 if report.passed else 1
-
-
-def _run_perf(argv: list[str]) -> int:
-    import json as json_module
-
-    from repro.instrument.perf import (
-        build_baseline,
-        diff_against_baseline,
-        load_baseline,
-        write_baseline,
-    )
-
-    args = build_perf_parser().parse_args(argv)
-    if args.command == "baseline":
-        baseline = build_baseline(args.metrics_dir)
-        if not baseline["experiments"]:
-            print(
-                f"error: no BENCH_METRICS_*.json found in {args.metrics_dir}",
-                file=sys.stderr,
-            )
-            return 2
-        path = write_baseline(baseline, args.out)
-        print(
-            f"* baseline over {len(baseline['experiments'])} experiment(s) "
-            f"written to {path}"
-        )
-        return 0
-
-    overrides: dict[str, float] = {}
-    for item in args.metric_tolerance:
-        name, sep, value = item.partition("=")
-        if not sep or not name:
-            print(
-                f"error: --metric-tolerance expects NAME=TOL, got {item!r}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            print(
-                f"error: --metric-tolerance {name}: {value!r} is not a number",
-                file=sys.stderr,
-            )
-            return 2
-    try:
-        baseline = load_baseline(args.baseline)
-    except FileNotFoundError:
-        print(
-            f"error: baseline {args.baseline} not found "
-            "(build one with `repro perf baseline`)",
-            file=sys.stderr,
-        )
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    diff = diff_against_baseline(
-        baseline,
-        args.metrics_dir,
-        tolerance=args.tolerance,
-        metric_tolerances=overrides,
-    )
-    print(diff.summary())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(diff.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"* diff report written to {args.json}")
-    if not diff.compared:
-        # A diff that compared nothing is a misconfiguration, not a pass.
-        print(
-            f"error: no experiment in {args.metrics_dir} matches the baseline",
-            file=sys.stderr,
-        )
-        return 2
-    return 0 if diff.passed else 1
 
 
 def _run_batch(argv: list[str]) -> int:

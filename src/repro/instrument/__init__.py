@@ -15,8 +15,6 @@ The observability substrate of the engine (see ``docs/observability.md``):
 * live telemetry — :class:`Heartbeat` progress reporting
   (:mod:`repro.instrument.telemetry`), Prometheus text exposition and a
   stdlib ``/metrics`` endpoint (:mod:`repro.instrument.prometheus`).
-* perf trending — committed bench baselines and regression diffs
-  (:mod:`repro.instrument.perf`), driven by ``python -m repro perf``.
 
 Typical use::
 
@@ -68,12 +66,6 @@ from repro.instrument.exporters import (
     write_trace,
 )
 from repro.instrument.metrics import RunMetrics, metrics_delta
-from repro.instrument.perf import (
-    build_baseline,
-    diff_against_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.instrument.prometheus import MetricsServer, serve_metrics, to_prometheus
 from repro.instrument.spans import (
     SpanNode,
@@ -169,8 +161,4 @@ __all__ = [
     "MetricsServer",
     "serve_metrics",
     "to_prometheus",
-    "build_baseline",
-    "diff_against_baseline",
-    "load_baseline",
-    "write_baseline",
 ]

@@ -168,8 +168,6 @@ class StepController:
         self.ratio_limited = False  # LTE is binding here, not the ratio bound
         self.ratio_streak = 0
         self.h_unclamped = verdict.h_optimal
-        if self._rec.enabled:
-            self._rec.count("controller.lte_rejects")
         h_new = max(
             h_taken * self.options.step_shrink,
             min(verdict.h_optimal, 0.9 * h_taken),
@@ -181,8 +179,6 @@ class StepController:
         self.newton_failures += 1
         self.ratio_limited = False
         self.ratio_streak = 0
-        if self._rec.enabled:
-            self._rec.count("controller.newton_failures")
         self._set_retry(h_taken * self.options.step_shrink, RejectReason.NEWTON_FAIL)
 
     def restart(self, h: float | None = None) -> None:

@@ -5,8 +5,8 @@ duplicate resubmits (the dedup path), status polls, periodic campaign
 submissions — against one :class:`~repro.service.client.ServiceClient`.
 Everything is derived from one ``random.Random(seed)``: the op sequence,
 the spec pool, the campaign seeds. Same seed, same traffic, same service
-counters — which is what lets the Table R12 benchmark gate the service
-stack with ``repro perf diff`` and the CI smoke job assert exact
+counters — which is what lets the Table R12 smoke benchmark pin the
+service stack's counts exactly and the CI smoke job assert exact
 reconciliation.
 
 Backpressure (429) is counted, never fatal: with a quota configured the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TimestepError
+from repro.instrument import Recorder
 from repro.integration.controller import StepController
 from repro.integration.lte import LteVerdict
 from repro.utils.options import SimOptions
@@ -113,6 +114,16 @@ class TestRejectAndFailure:
         ctrl.on_newton_failure(8e-9)
         assert ctrl.h_rec == pytest.approx(2e-9)
         assert ctrl.newton_failures == 1
+
+    def test_each_shrink_counts_once(self):
+        rec = Recorder(capture_events=False)
+        ctrl = make(h0=8e-9, instrument=rec)
+        ctrl.on_reject(8e-9, verdict(accepted=False, ratio=4.0, h_opt=3e-9))
+        ctrl.on_newton_failure(ctrl.h_rec)
+        assert {k: v for k, v in rec.counters.items() if k.startswith("controller.")} == {
+            "controller.reject.lte_reject": 1,
+            "controller.reject.newton_fail": 1,
+        }
 
     def test_underflow_raises(self):
         ctrl = make(h0=1e-9, tstop=1e-6, min_step_fraction=1e-6)
