@@ -37,10 +37,7 @@ def main() -> None:
     print("\nbackward pipelining, 4 threads:")
     print(f"  {stats.clock.stages} stages for {stats.accepted_points} points "
           f"(mean width {stats.clock.mean_width:.2f})")
-    print(f"  guard points scheduled: "
-          f"{stats.extra.get('guard_salvages', 0) + stats.extra.get('guards_unused', 0)}"
-          f" — {stats.extra.get('guard_salvages', 0)} salvaged a failed stage, "
-          f"{stats.extra.get('guards_unused', 0)} were unused insurance")
+    print(f"  guard points that salvaged a failed stage: {stats.guard_salvages}")
     print(f"  wasted solves (discarded chain/guard work): {stats.wasted_solves}")
     print(f"  virtual speedup: {seq.stats.total_work / stats.virtual_total:.2f}x")
 
@@ -62,7 +59,7 @@ def main() -> None:
         rows.append([
             label,
             f"{report.speedup:.2f}",
-            ps.extra.get("guard_salvages", 0),
+            ps.guard_salvages,
             ps.wasted_solves,
         ])
     print()

@@ -77,7 +77,6 @@ from repro.engine.transient import TransientResult, TransientStats
 from repro.instrument import (
     NullRecorder,
     Recorder,
-    RunMetrics,
     use_recorder,
     write_chrome_trace,
     write_jsonl,
@@ -150,7 +149,6 @@ __all__ = [
     "Recorder",
     "ReproError",
     "Resistor",
-    "RunMetrics",
     "read_csv",
     "run_ensemble_request",
     "run_ensemble_transient",

@@ -7,7 +7,7 @@ spelling. :func:`simulate` fronts all five behind one signature with
 harmonised keywords (``tstop``/``tstep``/``options``/``threads``/
 ``scheme``), normalising the call into an :class:`AnalysisRequest` and
 wrapping the engine's native result in an :class:`AnalysisResult` that
-exposes the shared surface (``waveforms``/``stats``/``metrics``) while
+exposes the shared surface (``waveforms``/``stats``) while
 delegating everything analysis-specific to the raw result.
 
 The engine-level functions stay importable from their own modules
@@ -40,7 +40,7 @@ Example::
     dc = simulate(circuit, analysis="dc", source="V1",
                   values=np.linspace(0, 5, 51))
     ens = simulate(circuit, tstop=1e-6, ensemble=16, jitter=0.02, seed=5)
-    print(ens.metrics.scheme, ens[0].waveforms.voltage("out"))
+    print(ens.stats.summary(), ens[0].waveforms.voltage("out"))
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def _json_safe(key: str, value):
 class AnalysisResult:
     """Uniform wrapper over an analysis' native result.
 
-    The shared surface — ``waveforms``, ``stats``, ``metrics`` — is
+    The shared surface — ``waveforms``, ``stats`` — is
     available for every analysis that has it (None otherwise); anything
     else (``step_sizes``, ``transfer``, ``failures``...) is delegated to
     the wrapped ``raw`` result, so existing result-handling code keeps
@@ -273,10 +273,6 @@ class AnalysisResult:
     @property
     def stats(self):
         return getattr(self.raw, "stats", None)
-
-    @property
-    def metrics(self):
-        return getattr(self.raw, "metrics", None)
 
     def __getattr__(self, name: str):
         # Only reached when normal lookup fails: delegate to the raw result.
@@ -435,9 +431,8 @@ class EnsembleResult:
     :class:`~repro.engine.transient.TransientResult` (its column of the
     lockstep solve) exactly as a standalone transient run would be
     wrapped; ``params[k]`` records the parameter overrides it simulated.
-    ``stats``/``metrics`` describe the one shared run (one adaptive
-    grid, one Newton history, ``metrics.scheme == "ensemble"``);
-    anything else is delegated to the raw
+    ``stats`` describes the one shared run (one adaptive grid, one
+    Newton history); anything else is delegated to the raw
     :class:`~repro.engine.ensemble.EnsembleTransientResult`.
     """
 
@@ -451,10 +446,6 @@ class EnsembleResult:
     @property
     def stats(self):
         return self.raw.stats
-
-    @property
-    def metrics(self):
-        return self.raw.metrics
 
     @property
     def times(self):

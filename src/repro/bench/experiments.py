@@ -733,7 +733,7 @@ def table_r11(
         t0 = time.perf_counter()
         pool = run_campaign(campaign, backend="process", workers=workers)
         pool_wall = time.perf_counter() - t0
-        pool_work = pool.metrics.work_units
+        pool_work = pool.stats.work_units
 
         # Oracle: each variant against its own sequential run.
         worst_rel = 0.0

@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="print the end-of-run metrics summary for transient analyses",
+        help="print the end-of-run stats summary for transient analyses",
     )
     _add_telemetry_arguments(parser)
     parser.add_argument(
@@ -267,7 +267,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--metrics", action="store_true",
-        help="print the campaign metrics rollup and jobs.* counters",
+        help="print the campaign stats rollup and jobs.* counters",
     )
     parser.add_argument(
         "--trace", metavar="FILE",
@@ -578,10 +578,10 @@ def _run_batch(argv: list[str]) -> int:
             handle.write("\n")
         print(f"* report written to {args.json}")
     if args.metrics:
-        print(report.metrics.summary())
-        for name in sorted(report.metrics.counters):
+        print(report.stats.summary())
+        for name in sorted(recorder.counters):
             if name.startswith("jobs."):
-                print(f"  {name} = {report.metrics.counters[name]:g}")
+                print(f"  {name} = {recorder.counters[name]:g}")
     return 0 if report.passed else 1
 
 
@@ -1144,11 +1144,8 @@ def _print_dc(compiled, command: DcCommand, args) -> None:
 def _print_tran(compiled, netlist, command: TranCommand, args) -> None:
     import contextlib
 
-    telemetry_wanted = (
-        args.heartbeat or args.progress or args.serve_metrics is not None
-    )
     recorder = None
-    if args.trace or args.metrics or telemetry_wanted:
+    if args.trace or args.heartbeat or args.progress or args.serve_metrics is not None:
         from repro.instrument import Recorder
 
         recorder = Recorder(capture_events=bool(args.trace))
@@ -1258,13 +1255,18 @@ def _print_tran(compiled, netlist, command: TranCommand, args) -> None:
     if args.heartbeat:
         print(f"* heartbeats written to {args.heartbeat}")
 
-    if args.metrics and result.metrics is not None:
-        print(result.metrics.summary())
+    if args.metrics and wtm is None:
+        print(result.stats.summary())
     if args.trace and recorder is not None:
         from repro.instrument import write_trace
 
         fmt = write_trace(recorder, args.trace)
         print(f"* {fmt} trace written to {args.trace}")
+        if recorder.dropped_events:
+            print(
+                f"  trace: {recorder.dropped_events} events dropped "
+                f"(raise Recorder max_events for a complete trace)"
+            )
 
     signals = args.signals or [n for n in result.waveforms.names if n.startswith("v")][:4]
     grid = np.linspace(0.0, result.final_time, args.samples)

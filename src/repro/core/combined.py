@@ -16,6 +16,7 @@ is why the paper runs the combined scheme at 3+ threads.
 from __future__ import annotations
 
 from repro.core.backward import BackwardPipeline
+from repro.core.pipeline import SPECULATIVE_ITER_CAP
 from repro.engine.transient import PointTask
 from repro.integration.controller import BREAKPOINT_SNAP
 
@@ -106,5 +107,5 @@ class CombinedPipeline(BackwardPipeline):
             spec_hist,
             self.t + front + spec_gap,
             False,
-            iter_cap=self.options.speculative_iter_cap,
+            iter_cap=SPECULATIVE_ITER_CAP,
         )

@@ -29,7 +29,7 @@ time on an ideal machine.
 
 from __future__ import annotations
 
-from repro.core.pipeline import PipelineEngine
+from repro.core.pipeline import SPECULATIVE_ITER_CAP, PipelineEngine
 from repro.engine.transient import PointTask
 from repro.integration.controller import BREAKPOINT_SNAP
 
@@ -82,7 +82,7 @@ class ForwardPipeline(PipelineEngine):
                         spec_hist,
                         t_i,
                         False,
-                        iter_cap=self.options.speculative_iter_cap,
+                        iter_cap=SPECULATIVE_ITER_CAP,
                     )
                 )
                 t_prev = t_i

@@ -62,6 +62,15 @@ from repro.utils.options import SimOptions
 #: Smoothing factor for the stage rejection-rate EWMA.
 REJECT_EWMA_ALPHA = 0.2
 
+#: Rejection-rate EWMA at or above which a stage spends a thread on the
+#: guard point.
+REJECT_EWMA_THRESHOLD = 0.15
+
+#: Max Newton iterations a forward-speculative task may spend against
+#: predicted history: on real hardware speculation is bounded by the
+#: producer's solve time, and this cap models that bound.
+SPECULATIVE_ITER_CAP = 5
+
 #: Corrective phases converging within this many iterations count as
 #: speculation hits (diagnostics only).
 HIT_ITERATIONS = 2
@@ -76,6 +85,8 @@ class PipelineStats(TransientStats):
     """
 
     clock: VirtualClock = field(default_factory=VirtualClock)
+    #: Solver lanes the run scheduled stages over.
+    threads: int = 1
     speculative_solves: int = 0
     speculative_hits: int = 0
     wasted_solves: int = 0
@@ -103,13 +114,82 @@ class PipelineStats(TransientStats):
             return 1.0
         return self.serial_total / self.virtual_total
 
+    @property
+    def stage_utilization(self) -> float:
+        """Fraction of the thread-pool's pipelined capacity doing work.
+
+        ``serial_work / (virtual_work * threads)``: 1.0 means every lane
+        was busy for the whole virtual schedule, lower values expose
+        bubbles (idle lanes while the stage's critical task finishes).
+        """
+        if self.clock.virtual_work <= 0 or self.threads <= 1:
+            return 1.0
+        return min(
+            1.0, self.clock.serial_work / (self.clock.virtual_work * self.threads)
+        )
+
+    @property
+    def speculation_hit_rate(self) -> float:
+        if self.speculative_solves <= 0:
+            return 0.0
+        return self.speculative_hits / self.speculative_solves
+
+    @property
+    def speculation_efficiency(self) -> float:
+        """Fraction of speculative work units that ended up useful.
+
+        1.0 when the scheme never speculated (nothing was risked), down
+        to 0.0 when every speculative solve was discarded — the economics
+        number the depth throttle is trying to maximise.
+        """
+        if self.speculative_work <= 0:
+            return 1.0
+        return max(0.0, 1.0 - self.speculative_wasted_work / self.speculative_work)
+
+    def to_dict(self) -> dict:
+        out = super().to_dict()
+        clock = out.pop("clock")
+        out.update(
+            stages=clock.stages,
+            mean_stage_width=clock.mean_width,
+            peak_stage_width=clock.peak_width,
+            stage_utilization=self.stage_utilization,
+            virtual_work=clock.virtual_work,
+            serial_work=clock.serial_work,
+            speculation_hit_rate=self.speculation_hit_rate,
+            speculation_efficiency=self.speculation_efficiency,
+        )
+        return out
+
+    def summary(self) -> str:
+        clock = self.clock
+        lines = [
+            super().summary(),
+            f"  pipeline: {self.threads} threads, {clock.stages} stages, mean width "
+            f"{clock.mean_width:.2f} (peak {clock.peak_width}), "
+            f"stage utilization {self.stage_utilization:.1%}",
+            f"  work: virtual {clock.virtual_work:.1f} wu vs serial-equivalent "
+            f"{clock.serial_work:.1f} wu (+ dcop {self.dc_work_units:.1f} wu)",
+            f"  speculation: {self.speculative_solves} solves, "
+            f"{self.speculative_hits} hits "
+            f"({self.speculation_hit_rate:.1%} hit rate); "
+            f"wasted {self.wasted_solves} solves ({self.wasted_work:.1f} wu); "
+            f"{self.guard_salvages} guard salvages",
+        ]
+        if self.speculative_work > 0:
+            lines.append(
+                f"  speculation economics: {self.speculative_work:.1f} wu "
+                f"risked, {self.speculative_wasted_work:.1f} wu wasted "
+                f"({self.speculation_efficiency:.1%} efficient)"
+            )
+        return "\n".join(lines)
+
 
 @dataclass
 class PipelineResult(TransientResult):
     """Transient result plus scheme identification."""
 
     scheme: str = ""
-    threads: int = 1
 
     @property
     def pipeline_stats(self) -> PipelineStats:
@@ -156,7 +236,8 @@ class PipelineEngine(TransientEngine):
         #: Open ``stage_run`` span of a traced stage: its tasks' parent.
         self._stage_span = 0
         self.stats = PipelineStats(
-            clock=VirtualClock(sync_overhead=self.options.sync_overhead)
+            clock=VirtualClock(sync_overhead=self.options.sync_overhead),
+            threads=threads,
         )
         #: EWMA of stage failure (any rejection / Newton failure); drives
         #: adaptive guard scheduling in every scheme.
@@ -206,7 +287,7 @@ class PipelineEngine(TransientEngine):
         """True when recent rejection pressure justifies a guard task."""
         return (
             self.options.backward_guard_fraction > 0
-            and self._reject_ewma >= self.options.reject_ewma_threshold
+            and self._reject_ewma >= REJECT_EWMA_THRESHOLD
         )
 
     @property
@@ -472,6 +553,5 @@ class PipelineEngine(TransientEngine):
         return PipelineResult(
             waveforms=_build_waveforms(self.system, self.times, self.solutions),
             scheme=self.scheme_name,
-            threads=self.threads,
             **fields,
         )

@@ -17,11 +17,22 @@ from repro.core.forward import ForwardPipeline
 from repro.core.pipeline import PipelineResult
 from repro.engine.transient import TransientResult, run_transient
 from repro.errors import SimulationError
-from repro.instrument.metrics import metrics_delta
 from repro.mna.compiler import CompiledCircuit, compile_circuit
 from repro.parallel.executors import StageExecutor, make_executor
 from repro.utils.options import SimOptions
 from repro.waveform.waveform import Deviation, compare, worst_deviation
+
+#: The stats :meth:`SpeedupReport.metrics_delta` pairs up.
+DELTA_FIELDS = (
+    "accepted_points",
+    "iterations_per_point",
+    "reject_rate",
+    "newton_failures",
+    "work_units",
+    "wall_seconds",
+    "lu_factors",
+    "reuse_hit_rate",
+)
 
 #: Scheme name -> engine class.
 SCHEMES = {
@@ -54,8 +65,7 @@ def run_wavepipe(
             a provided instance is left open for the caller to reuse.
         instrument: optional :class:`~repro.instrument.Recorder`; the
             run's trace events (stage lanes, Newton solves, speculation
-            outcomes) land there and the result's ``metrics`` gains its
-            counters.
+            outcomes) land there.
     """
     if scheme not in SCHEMES:
         raise SimulationError(
@@ -124,28 +134,30 @@ class SpeedupReport:
         return worst_deviation(self.deviations)
 
     def metrics_delta(self) -> dict:
-        """(sequential, pipelined) pairs of the headline run metrics."""
-        return metrics_delta(self.sequential.metrics, self.pipelined.metrics)
+        """(sequential, pipelined) pairs of the headline run stats."""
+        return {
+            name: (getattr(self.sequential.stats, name), getattr(self.pipelined.stats, name))
+            for name in DELTA_FIELDS
+        }
 
     def summary(self) -> str:
         dev = self.worst_deviation
         dev_text = f"{dev.max_relative:.2e} rel ({dev.name})" if dev else "n/a"
-        seq_m, pipe_m = self.sequential.metrics, self.pipelined.metrics
+        seq, pipe = self.sequential.stats, self.pipelined.stats
         text = (
             f"{self.scheme} x{self.threads}: speedup {self.speedup:.2f} "
             f"(eff {self.efficiency:.2f}), worst deviation {dev_text}, "
-            f"seq pts {self.sequential.stats.accepted_points}, "
-            f"pipe pts {self.pipelined.stats.accepted_points} "
-            f"(+{self.pipelined.stats.wasted_solves} wasted), "
-            f"iters/pt {seq_m.iterations_per_point:.2f}->"
-            f"{pipe_m.iterations_per_point:.2f}, "
-            f"reject {seq_m.reject_rate:.1%}->{pipe_m.reject_rate:.1%}, "
-            f"stage util {pipe_m.stage_utilization:.0%}"
+            f"seq pts {seq.accepted_points}, "
+            f"pipe pts {pipe.accepted_points} (+{pipe.wasted_solves} wasted), "
+            f"iters/pt {seq.iterations_per_point:.2f}->"
+            f"{pipe.iterations_per_point:.2f}, "
+            f"reject {seq.reject_rate:.1%}->{pipe.reject_rate:.1%}, "
+            f"stage util {pipe.stage_utilization:.0%}"
         )
-        if pipe_m.speculative_work > 0:
+        if pipe.speculative_work > 0:
             text += (
-                f", spec {pipe_m.speculative_hits}/{pipe_m.speculative_solves} hits"
-                f" ({pipe_m.speculation_efficiency:.0%} efficient)"
+                f", spec {pipe.speculative_hits}/{pipe.speculative_solves} hits"
+                f" ({pipe.speculation_efficiency:.0%} efficient)"
             )
         return text
 
@@ -164,8 +176,7 @@ def compare_with_sequential(
     """Run sequential and WavePipe on the same compiled circuit and compare.
 
     When *instrument* is a :class:`~repro.instrument.Recorder`, both runs
-    record into it and the report's :meth:`SpeedupReport.metrics_delta`
-    exposes the per-run metric pairs.
+    record into it.
     """
     compiled = (
         circuit

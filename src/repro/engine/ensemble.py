@@ -29,7 +29,6 @@ from repro.engine.transient import (
     TransientStats,
     _initial_solution,
 )
-from repro.instrument.metrics import RunMetrics
 from repro.mna.compiler import CompiledCircuit
 from repro.mna.ensemble import (
     EnsembleCompilation,
@@ -47,9 +46,9 @@ class EnsembleTransientResult:
 
     ``variants[k]`` is an ordinary
     :class:`~repro.engine.transient.TransientResult` whose waveforms are
-    variant *k*'s columns of the lockstep solve; ``stats`` and
-    ``metrics`` describe the *shared* run (one Newton history, one grid),
-    which all variants reference.
+    variant *k*'s columns of the lockstep solve; ``stats`` describes the
+    *shared* run (one Newton history, one grid), which all variants
+    reference.
     """
 
     variants: list[TransientResult]
@@ -57,7 +56,6 @@ class EnsembleTransientResult:
     times: np.ndarray
     step_sizes: np.ndarray
     options: SimOptions
-    metrics: RunMetrics | None = None
 
     @property
     def sims(self) -> int:
@@ -144,5 +142,4 @@ def run_ensemble_transient(
         times=shared.times,
         step_sizes=shared.step_sizes,
         options=options,
-        metrics=shared.metrics,
     )

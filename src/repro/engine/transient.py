@@ -23,7 +23,7 @@ option.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,7 +40,6 @@ from repro.instrument.events import (
     STEP_ACCEPT,
     TIMESTEP,
 )
-from repro.instrument.metrics import RunMetrics
 from repro.instrument.recorder import resolve_recorder
 from repro.integration.controller import StepController
 from repro.integration.history import Timepoint, TimepointHistory
@@ -172,15 +171,32 @@ def solve_timepoint(
     return PointSolution(t_new, result, scheme)
 
 
+#: The counts a job result persists, in payload order. Wall-clock fields
+#: are deliberately absent: cached results must be byte-identical across
+#: reruns on any host.
+COUNT_FIELDS = (
+    "accepted_points",
+    "rejected_points",
+    "newton_failures",
+    "newton_iterations",
+    "work_units",
+    "lu_factors",
+    "lu_solves",
+    "lu_reuse_hits",
+    "bypass_fallbacks",
+)
+
+
 @dataclass
 class TransientStats:
-    """Cost accounting for one transient run (sequential or pipelined).
+    """The record of one transient run (sequential or pipelined).
 
     Wall time is split at the phase boundary the cost model also splits
     at: ``dcop_seconds`` covers the DC operating point (inherently
     serial), ``tran_seconds`` the time-stepping loop (what pipelining
-    accelerates). The historical ``wall_seconds`` remains as the derived
-    sum.
+    accelerates). The derived ratios the paper's evaluation reads
+    (iterations per point, reject rate, factor reuse) are properties;
+    :meth:`to_dict` and :meth:`summary` report fields and ratios alike.
     """
 
     accepted_points: int = 0
@@ -195,7 +211,8 @@ class TransientStats:
     lu_solves: int = 0
     lu_reuse_hits: int = 0
     bypass_fallbacks: int = 0
-    extra: dict = field(default_factory=dict)
+    #: Failed stages a pipelined run's guard (insurance) point rescued.
+    guard_salvages: int = 0
 
     def charge_lu(self, result: NewtonResult) -> None:
         """Accumulate one Newton solve's linear-solver cost breakdown."""
@@ -214,6 +231,63 @@ class TransientStats:
         """Serial work including the operating point."""
         return self.work_units + self.dc_work_units
 
+    @property
+    def iterations_per_point(self) -> float:
+        """Newton iterations per *accepted* point (includes rejected work)."""
+        if self.accepted_points <= 0:
+            return 0.0
+        return self.newton_iterations / self.accepted_points
+
+    @property
+    def reject_rate(self) -> float:
+        """LTE rejections as a fraction of LTE-tested candidates."""
+        tested = self.accepted_points + self.rejected_points
+        return self.rejected_points / tested if tested else 0.0
+
+    @property
+    def reuse_hit_rate(self) -> float:
+        """Back-solves served by reused factors, as a fraction of all
+        back-solves (0.0 with jacobian_reuse off on a nonlinear circuit;
+        a linear one reuses exact factors within each solve regardless)."""
+        if self.lu_solves <= 0:
+            return 0.0
+        return self.lu_reuse_hits / self.lu_solves
+
+    def counts(self) -> dict:
+        """The persisted counts, in ``COUNT_FIELDS`` order."""
+        return {name: getattr(self, name) for name in COUNT_FIELDS}
+
+    def to_dict(self) -> dict:
+        """JSON-safe dump: every field plus the derived ratios."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            wall_seconds=self.wall_seconds,
+            iterations_per_point=self.iterations_per_point,
+            reject_rate=self.reject_rate,
+            reuse_hit_rate=self.reuse_hit_rate,
+        )
+        return out
+
+    def summary(self) -> str:
+        """Human-readable end-of-run report."""
+        lines = [
+            "run stats",
+            f"  points: {self.accepted_points} accepted, "
+            f"{self.rejected_points} rejected ({self.reject_rate:.1%} reject rate), "
+            f"{self.newton_failures} Newton failures",
+            f"  newton: {self.newton_iterations} iterations, "
+            f"{self.iterations_per_point:.2f} per accepted point",
+            f"  wall: dcop {self.dcop_seconds:.4f}s + transient "
+            f"{self.tran_seconds:.4f}s = {self.wall_seconds:.4f}s",
+        ]
+        if self.lu_solves:
+            lines.append(
+                f"  lu: {self.lu_factors} factor, {self.lu_solves} back-solves "
+                f"({self.reuse_hit_rate:.1%} on reused factors, "
+                f"{self.bypass_fallbacks} bypass fallbacks)"
+            )
+        return "\n".join(lines)
+
 
 @dataclass
 class TransientResult:
@@ -224,7 +298,6 @@ class TransientResult:
     times: np.ndarray
     step_sizes: np.ndarray
     options: SimOptions
-    metrics: RunMetrics | None = None
 
     @property
     def final_time(self) -> float:
@@ -301,7 +374,7 @@ def run_transient(
         node_ics: extra initial node voltages for ``uic`` runs.
         instrument: optional :class:`~repro.instrument.Recorder` (threaded
             into ``options.instrument``); the run's events and counters
-            land there and the result's ``metrics`` gains its counters.
+            land there.
     """
     if isinstance(compiled, Circuit):
         compiled = compile_circuit(compiled, options)
@@ -422,18 +495,11 @@ class TransientEngine:
         stats.tran_seconds = time.perf_counter() - started - stats.dcop_seconds
         if tracing:
             rec.end_span(run_sid, cost=self.run_cost(), accepted=stats.accepted_points)
-        metrics = RunMetrics.from_stats(
-            stats,
-            scheme=self.scheme_name,
-            threads=self.threads,
-            recorder=rec if tracing else None,
-        )
         return self._package(
             stats=stats,
             times=np.array(self.times),
             step_sizes=np.array(self.step_sizes),
             options=self.options,
-            metrics=metrics,
         )
 
     def run_cost(self) -> float:
@@ -529,7 +595,6 @@ class TransientEngine:
             failure_verdict = verdict
             if last is None:
                 salvaged = self._try_guard(guard, guard_gap)
-                guard = None
                 if verdict is None:
                     if not salvaged:
                         controller.on_newton_failure(gap)
@@ -541,11 +606,6 @@ class TransientEngine:
                     controller.on_reject(gap, verdict)
             break
 
-        if guard is not None:
-            # Insurance not needed: charged to the stage, nothing committed.
-            self.stats.extra["guards_unused"] = (
-                self.stats.extra.get("guards_unused", 0) + 1
-            )
         if last is not None:
             gap, verdict = last
             hit_bp = self.t >= controller.next_breakpoint(stage_base) * (
@@ -574,9 +634,7 @@ class TransientEngine:
             return False
         self.commit_point(guard, gap, verdict)
         self.controller.on_accept(gap, verdict, False)
-        self.stats.extra["guard_salvages"] = (
-            self.stats.extra.get("guard_salvages", 0) + 1
-        )
+        self.stats.guard_salvages += 1
         if self.recorder.enabled:
             self.recorder.count("guard.salvages")
         return True

@@ -1,6 +1,9 @@
-"""Structured tracing, counters, and pipeline-occupancy metrics.
+"""Structured tracing, counters, exporters and live telemetry.
 
-The observability substrate of the engine (see ``docs/observability.md``):
+The observability substrate of the engine (see ``docs/observability.md``).
+A run's own counts and ratios are not here: they are its ``stats``
+(:class:`~repro.engine.transient.TransientStats`), with or without a
+recorder.
 
 * :class:`Recorder` / :class:`NullRecorder` — collecting vs inert
   instrumentation sinks; the process-global default is inert so
@@ -10,8 +13,6 @@ The observability substrate of the engine (see ``docs/observability.md``):
   :mod:`repro.instrument.events`.
 * exporters — JSONL event logs and Chrome ``trace_event`` files with one
   lane per pipeline thread (:mod:`repro.instrument.exporters`).
-* :class:`RunMetrics` — the end-of-run summary every transient result
-  carries (:mod:`repro.instrument.metrics`).
 * live telemetry — :class:`Heartbeat` progress reporting
   (:mod:`repro.instrument.telemetry`), Prometheus text exposition and a
   stdlib ``/metrics`` endpoint (:mod:`repro.instrument.prometheus`).
@@ -24,7 +25,7 @@ Typical use::
     rec = Recorder()
     result = simulate(circuit, analysis="wavepipe", tstop=1e-6,
                       scheme="combined", threads=3, instrument=rec)
-    print(result.metrics.summary())
+    print(result.stats.summary())
     write_chrome_trace(rec, "run.trace.json")   # open in Perfetto
 """
 
@@ -65,7 +66,6 @@ from repro.instrument.exporters import (
     write_jsonl,
     write_trace,
 )
-from repro.instrument.metrics import RunMetrics, metrics_delta
 from repro.instrument.prometheus import MetricsServer, serve_metrics, to_prometheus
 from repro.instrument.spans import (
     SpanNode,
@@ -141,8 +141,6 @@ __all__ = [
     "set_recorder",
     "use_recorder",
     "resolve_recorder",
-    "RunMetrics",
-    "metrics_delta",
     "chrome_trace_dict",
     "write_chrome_trace",
     "write_jsonl",

@@ -196,16 +196,6 @@ class Recorder:
                 return
         self.events.append(record)
 
-    @contextlib.contextmanager
-    def span(self, name: str, lane: int = 0, t_sim: float | None = None, **attrs):
-        """Context manager emitting a complete (duration) event."""
-        t0 = self.clock()
-        try:
-            yield self
-        finally:
-            self.event(name, ts=t0, dur=self.clock() - t0, lane=lane,
-                       t_sim=t_sim, **attrs)
-
     # -- span tree --------------------------------------------------------------
     #
     # Tree spans are completed TraceEvents whose attrs carry ``span`` (an
@@ -540,9 +530,6 @@ class NullRecorder:
 
     def event(self, name: str, **kwargs) -> None:
         pass
-
-    def span(self, name: str, **kwargs):
-        return _NULL_SPAN
 
     def begin_span(self, name: str, **kwargs) -> int:
         return 0

@@ -35,7 +35,7 @@ from repro.jobs.campaign import (
     monte_carlo,
     param_sweep,
     pvt_corners,
-    rollup_metrics,
+    rollup_stats,
     run_campaign,
     single,
 )
@@ -91,6 +91,6 @@ __all__ = [
     "pvt_corners",
     "param_sweep",
     "single",
-    "rollup_metrics",
+    "rollup_stats",
     "run_campaign",
 ]

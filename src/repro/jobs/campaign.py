@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.circuit.components import Bjt, Capacitor, Diode, Inductor, Mosfet, Resistor
+from repro.engine.transient import TransientStats
 from repro.errors import SimulationError
 from repro.instrument.events import CAMPAIGN_RUN
-from repro.instrument.metrics import RunMetrics
 from repro.instrument.recorder import resolve_recorder
 from repro.instrument.tracectx import current_trace
 from repro.jobs.scheduler import JobOutcome, JobScheduler
@@ -219,11 +219,15 @@ def single(base: JobSpec) -> Campaign:
 
 @dataclass
 class CampaignResult:
-    """Everything one campaign run produced."""
+    """Everything one campaign run produced.
+
+    ``stats`` sums the persisted counts of every job that produced a
+    result (:func:`rollup_stats`).
+    """
 
     campaign: Campaign
     outcomes: list[JobOutcome]
-    metrics: RunMetrics
+    stats: TransientStats
     manifest_path: str | None = None
 
     @property
@@ -253,7 +257,7 @@ class CampaignResult:
             "passed": self.passed,
             "counts": self.counts,
             "manifest": self.manifest_path,
-            "wall_seconds": self.metrics.tran_seconds,
+            "wall_seconds": self.stats.tran_seconds,
             "outcomes": [
                 {
                     "label": outcome.spec.label,
@@ -274,34 +278,27 @@ class CampaignResult:
         return (
             f"campaign {self.campaign.name}: {verdict} — "
             f"{len(self.outcomes)} jobs ({counts}), "
-            f"{self.metrics.tran_seconds:.2f}s simulated wall time"
+            f"{self.stats.tran_seconds:.2f}s simulated wall time"
         )
 
 
-def rollup_metrics(outcomes: list[JobOutcome], workers: int = 1) -> RunMetrics:
-    """Campaign-level RunMetrics: sums of every completed job's counts.
+def rollup_stats(outcomes: list[JobOutcome]) -> TransientStats:
+    """Campaign-level stats: sums of every completed job's counts.
 
     ``tran_seconds`` aggregates actual execution time (cache hits cost
     nothing and contribute nothing).
     """
-    metrics = RunMetrics(scheme="campaign", threads=workers)
+    totals = TransientStats().counts()
+    seconds = 0.0
     for outcome in outcomes:
         result = outcome.result
         if result is None:
             continue
-        stats = result.stats
-        metrics.accepted_points += int(stats.get("accepted_points", 0))
-        metrics.rejected_points += int(stats.get("rejected_points", 0))
-        metrics.newton_failures += int(stats.get("newton_failures", 0))
-        metrics.newton_iterations += int(stats.get("newton_iterations", 0))
-        metrics.work_units += float(stats.get("work_units", 0.0))
-        metrics.lu_factors += int(stats.get("lu_factors", 0))
-        metrics.lu_solves += int(stats.get("lu_solves", 0))
-        metrics.lu_reuse_hits += int(stats.get("lu_reuse_hits", 0))
-        metrics.bypass_fallbacks += int(stats.get("bypass_fallbacks", 0))
+        for name in totals:
+            totals[name] += result.stats.get(name, 0)
         if not result.cached:
-            metrics.tran_seconds += outcome.elapsed or result.elapsed
-    return metrics
+            seconds += outcome.elapsed or result.elapsed
+    return TransientStats(tran_seconds=seconds, **totals)
 
 
 def run_campaign(
@@ -379,19 +376,15 @@ def run_campaign(
     if ambient is not None:
         span_attrs["trace_id"] = ambient.trace_id
         span_attrs["tenant"] = ambient.tenant
-    # tree_span (not the flat span helper) so per-job ``job_run`` spans
-    # settled on this thread nest under the campaign root.
+    # per-job ``job_run`` spans settled on this thread nest under the
+    # campaign root.
     with rec.tree_span(CAMPAIGN_RUN, **span_attrs):
         with beat_scope, scheduler:
             outcomes = scheduler.run(campaign.jobs, on_outcome=checkpoint)
     rec.count("jobs.campaigns")
-    effective_workers = getattr(scheduler.backend, "workers", workers)
-    result = CampaignResult(
+    return CampaignResult(
         campaign=campaign,
         outcomes=outcomes,
-        metrics=rollup_metrics(outcomes, workers=effective_workers),
+        stats=rollup_stats(outcomes),
         manifest_path=str(store.manifest_path) if store is not None else None,
     )
-    if rec.enabled:
-        result.metrics.counters = dict(rec.counters)
-    return result

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import time
 
+from repro.engine.transient import TransientStats
 from repro.errors import SimulationError
 from repro.jobs.spec import JobSpec, apply_params
 from repro.jobs.workers import (
@@ -43,16 +44,15 @@ from repro.jobs.workers import (
     recorder_scope,
     resolve_job,
     run_inline,
-    stat_dump,
 )
 
-#: Stat fields apportioned across group members (cost counters); the
-#: remaining _STAT_FIELDS are grid-level counts shared verbatim.
-_APPORTIONED_INT_FIELDS = (
-    "lu_factors",
-    "lu_solves",
-    "lu_reuse_hits",
-    "bypass_fallbacks",
+#: Grid-level counts every member shares verbatim (one Newton history,
+#: one grid); the other persisted counts are costs, apportioned.
+_SHARED_FIELDS = (
+    "accepted_points",
+    "rejected_points",
+    "newton_failures",
+    "newton_iterations",
 )
 
 
@@ -73,6 +73,19 @@ def _apportion(total: int, sims: int, k: int) -> int:
     """Member *k*'s share of an integer counter (sums exactly to *total*)."""
     share, remainder = divmod(int(total), sims)
     return share + (1 if k < remainder else 0)
+
+
+def _member_counts(stats: TransientStats, sims: int, k: int) -> dict:
+    """Member *k*'s persisted counts of a *sims*-variant lockstep run."""
+    out = {}
+    for name, total in stats.counts().items():
+        if name in _SHARED_FIELDS:
+            out[name] = total
+        elif isinstance(total, float):
+            out[name] = total / sims
+        else:
+            out[name] = _apportion(total, sims, k)
+    return out
 
 
 class EnsembleBackend:
@@ -149,20 +162,15 @@ class EnsembleBackend:
 
         sims = len(specs)
         share = (time.perf_counter() - t0) / sims
-        stats = result.stats
         group_telemetry = deterministic_telemetry(recorder)
         snapshot = job_snapshot(recorder)
         for k, (index, spec) in enumerate(chunk):
-            member_stats = stat_dump(stats)
-            member_stats["work_units"] = stats.work_units / sims
-            for field in _APPORTIONED_INT_FIELDS:
-                member_stats[field] = _apportion(getattr(stats, field), sims, k)
             try:
                 job_result = package_job(
                     spec,
                     built,
                     result.variants[k],
-                    member_stats,
+                    _member_counts(result.stats, sims, k),
                     group_telemetry if k == 0 else None,
                     share,
                 )

@@ -35,21 +35,6 @@ from repro.utils.options import SimOptions
 #: and hangs without patching engine internals.
 FAULT_HOOK = None
 
-#: Stats fields copied into the deterministic result payload. Wall-clock
-#: fields are deliberately absent: cached results must be byte-identical
-#: across reruns on any host.
-_STAT_FIELDS = (
-    "accepted_points",
-    "rejected_points",
-    "newton_failures",
-    "newton_iterations",
-    "work_units",
-    "lu_factors",
-    "lu_solves",
-    "lu_reuse_hits",
-    "bypass_fallbacks",
-)
-
 #: Ring-buffer depth of a telemetry worker's event log: post-mortems need
 #: the *last* events before a crash or timeout, not a whole-run trace.
 TELEMETRY_EVENT_TAIL = 64
@@ -183,15 +168,6 @@ def resolve_job(spec: JobSpec):
     return built, tstop, tstep, options
 
 
-def stat_dump(stats) -> dict:
-    """The deterministic counting stats of a run (``_STAT_FIELDS`` order)."""
-    return {
-        name: getattr(stats, name)
-        for name in _STAT_FIELDS
-        if getattr(stats, name, None) is not None
-    }
-
-
 def package_job(
     spec: JobSpec, built, result, stats: dict, telemetry, elapsed: float
 ) -> JobResult:
@@ -255,7 +231,7 @@ def execute_job(spec: JobSpec, instrument=None) -> JobResult:
         spec,
         built,
         result,
-        stat_dump(result.stats),
+        result.stats.counts(),
         deterministic_telemetry(instrument),
         time.perf_counter() - t0,
     )

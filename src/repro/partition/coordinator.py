@@ -140,7 +140,6 @@ class WtmResult:
     mode: str = "seidel"
     windows: int = 1
     relax: float = 1.0
-    metrics: object | None = None
 
     @property
     def final_time(self) -> float:

@@ -44,8 +44,7 @@ class SimOptions:
         step_ratio_max: max allowed ratio of consecutive accepted steps
             (the bound WavePipe's backward pipelining legally exceeds by
             inserting verified intermediate points).
-        step_shrink / step_grow_cap: reject-retry shrink factor and the
-            hard cap on per-step growth recommendation.
+        step_shrink: reject-retry shrink factor.
         min_step_fraction: minimum step as a fraction of the sim window;
             going below raises :class:`~repro.errors.TimestepError`.
         first_step_fraction: initial step as fraction of ``tstep`` hint.
@@ -60,16 +59,10 @@ class SimOptions:
             see the ablation bench).
         sync_overhead: virtual-clock cost (work units) charged per
             pipeline stage for thread synchronisation.
-        speculative_iter_cap: max Newton iterations a forward-pipelined
-            task may spend against predicted history (on real hardware
-            speculation is bounded by the producer's solve time; this cap
-            models that bound).
         predictor_order: polynomial predictor order (1 or 2).
         backward_guard_fraction: backward pipelining places a guard point
             at this fraction of the main step when recent stages saw LTE
             rejections; 0 disables guards.
-        reject_ewma_threshold: rejection-rate EWMA above which the
-            backward scheduler spends a thread on the guard point.
         lte_cap_margin: scale on the a-priori LTE-optimal step used to cap
             backward chain targets (<1 is more conservative).
         spec_min_iters: forward speculation is only scheduled when the
@@ -133,7 +126,6 @@ class SimOptions:
     lte_abstol: float | None = None
     step_ratio_max: float = 2.0
     step_shrink: float = 0.25
-    step_grow_cap: float = 2.0
     min_step_fraction: float = 1e-12
     first_step_fraction: float = 0.01
     max_step: float | None = None
@@ -143,10 +135,8 @@ class SimOptions:
     newton_guess: str = "previous"
 
     sync_overhead: float = 0.0
-    speculative_iter_cap: int = 5
     predictor_order: int = 2
     backward_guard_fraction: float = 0.5
-    reject_ewma_threshold: float = 0.15
     lte_cap_margin: float = 1.0
     spec_min_iters: float = 2.5
     chain_headroom_min: float = 2.0

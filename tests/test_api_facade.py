@@ -46,7 +46,7 @@ class TestSimulateDispatch:
         )
         assert res.analysis == "wavepipe"
         assert res.waveforms.voltage("out").final_value() == pytest.approx(1.0, abs=1e-3)
-        assert res.metrics is not None and res.metrics.threads == 2
+        assert res.stats.threads == 2
 
     def test_dc(self, divider_circuit):
         res = simulate(

@@ -98,7 +98,7 @@ class TestGuardKnobs:
         result = run_wavepipe(
             ring_oscillator(3), 8e-9, scheme="backward", threads=2, options=options
         )
-        assert result.stats.extra.get("guard_salvages", 0) == 0
+        assert result.stats.guard_salvages == 0
 
     def test_spec_gate_disabled_forces_speculation(self, rc_circuit):
         # spec_min_iters=0 lets even 1-iteration linear solves speculate

@@ -180,7 +180,7 @@ class TestSimulateFacade:
         assert result.sims == 3
         assert len(result) == 3
         assert isinstance(result[0], AnalysisResult)
-        assert result.metrics.scheme == "ensemble"
+        assert result.analysis == "ensemble"
         assert len(result.params) == 3
 
     def test_variants_keyword_promotes(self):

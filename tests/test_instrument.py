@@ -1,5 +1,6 @@
-"""Instrumentation stack: recorder, exporters, metrics, engine wiring."""
+"""Instrumentation stack: recorder, exporters, run stats, engine wiring."""
 
+import dataclasses
 import io
 import json
 
@@ -7,14 +8,16 @@ import pytest
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.sources import Pulse
+from repro import simulate
+from repro.core.pipeline import PipelineResult, PipelineStats
 from repro.core.wavepipe import compare_with_sequential, run_wavepipe
-from repro.engine.transient import run_transient
+from repro.engine.ensemble import EnsembleTransientResult
+from repro.engine.transient import TransientResult, TransientStats, run_transient
 from repro.instrument import (
     NULL_RECORDER,
     Histogram,
     NullRecorder,
     Recorder,
-    RunMetrics,
     chrome_trace_dict,
     get_recorder,
     read_jsonl,
@@ -25,6 +28,7 @@ from repro.instrument import (
     write_jsonl,
     write_trace,
 )
+from repro.parallel.clock import VirtualClock
 from repro.utils.options import SimOptions
 
 
@@ -95,15 +99,6 @@ class TestRecorder:
         assert rec.events == []
         assert rec.counter("c") == 1  # counters still live
 
-    def test_span_records_duration(self):
-        rec = Recorder()
-        with rec.span("work", lane=1, tag="x"):
-            pass
-        (ev,) = rec.events
-        assert ev.name == "work"
-        assert ev.dur is not None and ev.dur >= 0
-        assert ev.lane == 1 and ev.attrs == {"tag": "x"}
-
 
 class TestNullRecorder:
     def test_everything_is_inert(self):
@@ -112,7 +107,7 @@ class TestNullRecorder:
         rec.count("x")
         rec.observe("x", 1.0)
         rec.event("x")
-        with rec.span("x"):
+        with rec.tree_span("x"):
             pass
         assert rec.counter("x") == 0
         assert rec.snapshot()["events"] == 0
@@ -233,20 +228,21 @@ class TestExporters:
 
 
 class TestRunMetrics:
+    """The derived ratios and the report live on the run's stats."""
+
     def test_sequential_run_populates_metrics(self):
         rec = Recorder()
         result = run_transient(make_rc(), 10e-6, instrument=rec)
-        m = result.metrics
-        assert m is not None and m.scheme == "sequential"
-        assert m.accepted_points == result.stats.accepted_points
-        assert m.newton_iterations == result.stats.newton_iterations
-        assert m.iterations_per_point == pytest.approx(
-            result.stats.newton_iterations / result.stats.accepted_points
+        stats = result.stats
+        assert type(stats) is TransientStats
+        assert stats.iterations_per_point == pytest.approx(
+            stats.newton_iterations / stats.accepted_points
         )
-        assert not m.is_pipelined
-        assert m.stage_utilization == 1.0
-        # counter snapshot reconciles with the stats
-        assert m.counters["points.accepted"] == result.stats.accepted_points
+        tested = stats.accepted_points + stats.rejected_points
+        assert stats.reject_rate == stats.rejected_points / tested
+        # the recorder's counters reconcile with the stats
+        assert rec.counters["points.accepted"] == stats.accepted_points
+        assert rec.counters["newton.iterations"] == stats.newton_iterations
 
     def test_wall_seconds_split(self):
         result = run_transient(make_rc(), 10e-6)
@@ -260,48 +256,64 @@ class TestRunMetrics:
             stats.wall_seconds = 1.0  # derived, no longer assignable
 
     def test_pipelined_run_populates_metrics(self):
-        rec = Recorder()
-        result = run_wavepipe(
-            make_rc(), 10e-6, scheme="combined", threads=3, instrument=rec
+        result = run_wavepipe(make_rc(), 10e-6, scheme="combined", threads=3)
+        stats = result.stats
+        clock = stats.clock
+        assert stats.threads == 3
+        assert stats.stage_utilization == pytest.approx(
+            clock.serial_work / (clock.virtual_work * 3)
         )
-        m = result.metrics
-        assert m.is_pipelined and m.scheme == "combined" and m.threads == 3
-        assert m.stages == result.stats.clock.stages
-        assert m.virtual_work == pytest.approx(result.stats.clock.virtual_work)
-        assert 0.0 < m.stage_utilization <= 1.0
-        assert m.accepted_points == result.stats.accepted_points
+        assert 0.0 < stats.stage_utilization <= 1.0
+        dumped = stats.to_dict()
+        assert dumped["stages"] == clock.stages > 0
+        assert dumped["virtual_work"] == clock.virtual_work
+        assert dumped["serial_work"] == clock.serial_work
+        assert dumped["mean_stage_width"] == clock.mean_width
+        assert dumped["peak_stage_width"] == clock.peak_width
 
     def test_metrics_without_recorder(self):
         result = run_transient(make_rc(), 10e-6)
-        assert result.metrics is not None
-        assert result.metrics.counters == {}
+        assert "run stats" in result.stats.summary()
+        # the stats are the one record: no result type carries a copy
+        for result_type in (TransientResult, PipelineResult, EnsembleTransientResult):
+            assert "metrics" not in {f.name for f in dataclasses.fields(result_type)}
 
     def test_summary_text(self):
-        m = RunMetrics(
-            scheme="combined",
+        stats = PipelineStats(
+            clock=VirtualClock(stages=40, virtual_work=50.0, serial_work=120.0),
             threads=4,
             accepted_points=100,
             rejected_points=10,
             newton_iterations=250,
-            stages=40,
-            virtual_work=50.0,
-            serial_work=120.0,
+            speculative_work=8.0,
+            speculative_wasted_work=2.0,
         )
-        text = m.summary()
-        assert "combined x4" in text
+        text = stats.summary()
+        assert "4 threads, 40 stages" in text
         assert "2.50 per accepted point" in text
         assert "9.1% reject rate" in text
-        assert "stage utilization" in text
+        assert "stage utilization 60.0%" in text
+        assert "(75.0% efficient)" in text
+        sequential = TransientStats(accepted_points=100, newton_iterations=250).summary()
+        assert "2.50 per accepted point" in sequential
+        assert "pipeline" not in sequential and "lu:" not in sequential
 
     def test_to_dict_json_safe(self):
-        rec = Recorder()
-        result = run_wavepipe(
-            make_rc(), 10e-6, scheme="backward", threads=2, instrument=rec
-        )
-        dumped = json.dumps(result.metrics.to_dict())
-        loaded = json.loads(dumped)
-        assert loaded["scheme"] == "backward"
-        assert "stage_utilization" in loaded
+        runs = {
+            "sequential": run_transient(make_rc(), 10e-6),
+            "pipelined": run_wavepipe(make_rc(), 10e-6, scheme="backward", threads=2),
+            "ensemble": simulate(make_rc(), tstop=10e-6, ensemble=2, jitter=0.02, seed=1),
+        }
+        for kind, result in runs.items():
+            stats = result.stats
+            loaded = json.loads(json.dumps(stats.to_dict()))
+            for name in ("accepted_points", "newton_iterations", "work_units", "lu_solves"):
+                assert loaded[name] == getattr(stats, name), (kind, name)
+            assert loaded["iterations_per_point"] == stats.iterations_per_point
+            assert loaded["reuse_hit_rate"] == stats.reuse_hit_rate
+            assert loaded["wall_seconds"] == stats.wall_seconds
+            assert ("stage_utilization" in loaded) == (kind == "pipelined"), kind
+        assert json.loads(json.dumps(runs["pipelined"].stats.to_dict()))["threads"] == 2
 
 
 class TestEngineWiring:
@@ -341,9 +353,9 @@ class TestEngineWiring:
         assert rec.counter("points.accepted") == result.stats.accepted_points
 
     def test_null_recorder_leaves_no_trace(self):
-        result = run_transient(make_rc(), 10e-6)
+        run_transient(make_rc(), 10e-6)
         assert get_recorder() is NULL_RECORDER
-        assert result.metrics.counters == {}
+        assert NULL_RECORDER.counters == {} and NULL_RECORDER.events == []
 
 
 class TestCli:
@@ -365,7 +377,23 @@ class TestCli:
 
     def test_metrics_flag_prints_summary(self, tmp_path, capsys):
         out = self.run_cli(tmp_path, capsys, ["--metrics"])
-        assert "run metrics (sequential)" in out
+        assert "run stats" in out
+
+    def test_metrics_alone_builds_no_recorder(self, tmp_path, capsys, monkeypatch):
+        import repro.instrument
+
+        built = []
+
+        class SpyRecorder(Recorder):
+            def __init__(self, **kwargs):
+                built.append(kwargs)
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(repro.instrument, "Recorder", SpyRecorder)
+        out = self.run_cli(tmp_path, capsys, ["--metrics"])
+        assert built == []
+        for line in ("  points: ", "  newton: ", "  wall: "):
+            assert line in out
 
     def test_trace_flag_writes_chrome_json(self, tmp_path, capsys):
         trace = tmp_path / "trace.json"

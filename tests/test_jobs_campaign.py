@@ -104,14 +104,14 @@ class TestRunCampaign:
         rec = Recorder()
         result = run_campaign(campaign, store=tmp_path, instrument=rec)
         assert result.passed and result.counts == {"done": 4}
-        assert result.metrics.accepted_points > 0
-        assert result.metrics.counters["jobs.completed"] == 4
+        assert result.stats.accepted_points > 0
+        assert rec.counters["jobs.completed"] == 4
         assert any(e.name == CAMPAIGN_RUN for e in rec.events)
 
         rerun = run_campaign(campaign, store=tmp_path)
         assert rerun.counts == {"cached": 4}
         assert rerun.cache_hits == 4
-        assert rerun.metrics.tran_seconds == 0.0
+        assert rerun.stats.tran_seconds == 0.0
 
     def test_ephemeral_run_without_store(self):
         result = run_campaign(single(rc_spec()))
@@ -235,3 +235,51 @@ class TestBatchCli:
     def test_list_circuits(self, capsys):
         assert main(["batch", "--list-circuits"]) == 0
         assert "rectifier" in capsys.readouterr().out
+
+
+class TestPersistedCounts:
+    """The counts a job result persists: a cache and service format."""
+
+    #: Key set and order of ``JobResult.to_dict()["stats"]``.
+    PINNED = [
+        "accepted_points",
+        "rejected_points",
+        "newton_failures",
+        "newton_iterations",
+        "work_units",
+        "lu_factors",
+        "lu_solves",
+        "lu_reuse_hits",
+        "bypass_fallbacks",
+    ]
+
+    def campaign_runs(self):
+        from repro.jobs.ensemble import EnsembleBackend
+
+        campaign = monte_carlo(rc_spec(), n=3, seed=2)
+        rec = Recorder(capture_events=False)
+        lockstep = run_campaign(
+            campaign, backend=EnsembleBackend(max_group=4), instrument=rec
+        )
+        assert rec.counter("ensemble.batches") == 1  # the jobs were batched
+        return {"sequential": run_campaign(campaign), "ensemble": lockstep}
+
+    def test_stats_key_order_pinned(self):
+        for kind, result in self.campaign_runs().items():
+            assert result.passed, kind
+            for outcome in result.outcomes:
+                payload = outcome.result.to_dict()["stats"]
+                assert list(payload) == self.PINNED, kind
+                assert all(type(v) is int for k, v in payload.items() if k != "work_units")
+                assert type(payload["work_units"]) is float
+
+    def test_campaign_stats_sum_job_counts(self):
+        for kind, result in self.campaign_runs().items():
+            payloads = [o.result.to_dict()["stats"] for o in result.outcomes]
+            for name in self.PINNED:
+                assert getattr(result.stats, name) == sum(p[name] for p in payloads), (
+                    kind,
+                    name,
+                )
+            assert result.stats.tran_seconds > 0
+            assert result.to_dict()["wall_seconds"] == result.stats.tran_seconds

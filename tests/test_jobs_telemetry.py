@@ -48,19 +48,9 @@ def rc_campaign(n=4):
     return monte_carlo(rc_spec(), n=n, seed=11, jitter=0.05)
 
 
-def solver_rollup(metrics) -> dict:
+def solver_rollup(stats) -> dict:
     """The deterministic slice of a campaign rollup (no wall-clock)."""
-    return {
-        "accepted_points": metrics.accepted_points,
-        "rejected_points": metrics.rejected_points,
-        "newton_failures": metrics.newton_failures,
-        "newton_iterations": metrics.newton_iterations,
-        "work_units": metrics.work_units,
-        "lu_factors": metrics.lu_factors,
-        "lu_solves": metrics.lu_solves,
-        "lu_reuse_hits": metrics.lu_reuse_hits,
-        "bypass_fallbacks": metrics.bypass_fallbacks,
-    }
+    return stats.counts()
 
 
 class TestExecuteJobTelemetry:
@@ -188,14 +178,13 @@ class TestCampaignRollup:
             instrument=rec,
         )
         assert report.passed
-        rollup = report.metrics
+        rollup = report.stats
         assert rollup.newton_iterations > 0
         assert rollup.lu_factors > 0 and rollup.lu_solves > 0
         assert rollup.accepted_points > 0
         # the campaign recorder saw the same totals via worker snapshots
         assert rec.counter("newton.iterations") == rollup.newton_iterations
         assert rec.counter("lu.solve") == rollup.lu_solves
-        assert rollup.counters["newton.iterations"] == rollup.newton_iterations
 
     def test_interrupted_campaign_resumes_to_identical_rollup(
         self, tmp_path, monkeypatch
@@ -239,7 +228,7 @@ class TestCampaignRollup:
         )
         assert resumed.passed
         assert resumed.cache_hits == len(campaign.jobs) - 1
-        assert solver_rollup(resumed.metrics) == solver_rollup(fresh.metrics)
+        assert solver_rollup(resumed.stats) == solver_rollup(fresh.stats)
         # per-job payloads (including embedded telemetry) byte-identical
         for a, b in zip(fresh.outcomes, resumed.outcomes):
             assert a.result.to_dict() == b.result.to_dict()
@@ -258,7 +247,7 @@ class TestCampaignRollup:
             workers=2,
             instrument=Recorder(capture_events=False),
         )
-        assert solver_rollup(serial.metrics) == solver_rollup(process.metrics)
+        assert solver_rollup(serial.stats) == solver_rollup(process.stats)
 
     def test_campaign_heartbeat_counts_jobs(self, tmp_path):
         from repro.instrument import Heartbeat

@@ -250,8 +250,12 @@ class TestAnalysesAndOptions:
         assert nl.options.method == "gear2"
 
     def test_unknown_option_rejected(self):
-        with pytest.raises(NetlistError, match="unsupported option"):
-            parse("R1 a 0 1\n.options frobnicate=1")
+        # the last three were SimOptions fields once; none is a deck knob
+        for name in (
+            "frobnicate", "step_grow_cap", "speculative_iter_cap", "reject_ewma_threshold"
+        ):
+            with pytest.raises(NetlistError, match="unsupported option"):
+                parse(f"R1 a 0 1\n.options {name}=1")
 
     def test_unknown_card_rejected(self):
         with pytest.raises(NetlistError, match="unknown card"):

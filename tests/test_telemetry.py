@@ -11,7 +11,6 @@ import http.client
 import io
 import json
 import time
-import types
 
 import pytest
 
@@ -22,7 +21,6 @@ from repro.instrument import (
     MetricsServer,
     NullRecorder,
     Recorder,
-    RunMetrics,
     heartbeat_for,
     serve_metrics,
     to_prometheus,
@@ -30,20 +28,24 @@ from repro.instrument import (
 from repro.instrument.prometheus import metric_name
 
 
-def _stats(**overrides):
-    base = dict(
-        accepted_points=10,
-        rejected_points=2,
-        newton_failures=0,
-        newton_iterations=30,
-        work_units=5.0,
-        dc_work_units=1.0,
-        dcop_seconds=0.0,
-        tran_seconds=0.1,
-        extra=None,
+def _traced_cli_run(tmp_path, capsys, monkeypatch, max_events: int) -> str:
+    """Output of a ``--trace`` CLI run whose recorder keeps *max_events*."""
+    import repro.instrument
+    from repro.cli import main
+
+    class SmallRecorder(Recorder):
+        def __init__(self, **kwargs):
+            super().__init__(max_events=max_events, **kwargs)
+
+    monkeypatch.setattr(repro.instrument, "Recorder", SmallRecorder)
+    deck = tmp_path / "rc.cir"
+    deck.write_text(
+        "rc deck\nV1 in 0 PULSE(0 1 1n 1p 1p 1m 2m)\nR1 in out 1k\n"
+        "C1 out 0 1n\n.tran 0.1u 10u\n.end\n"
     )
-    base.update(overrides)
-    return types.SimpleNamespace(**base)
+    trace = tmp_path / "t.json"
+    assert main([str(deck), "--samples", "2", "--trace", str(trace)]) == 0
+    return capsys.readouterr().out
 
 
 class TestEventCapacity:
@@ -68,22 +70,15 @@ class TestEventCapacity:
         with pytest.raises(ValueError, match="evict"):
             Recorder(evict="lru")
 
-    def test_drops_surface_in_run_metrics(self):
-        rec = Recorder(max_events=1)
-        rec.event("a")
-        rec.event("b")
-        metrics = RunMetrics.from_stats(_stats(), recorder=rec)
-        assert metrics.events_dropped == 1
-        assert metrics.to_dict()["events_dropped"] == 1
-        assert "1 events dropped" in metrics.summary()
+    def test_drops_surface_in_cli_trace_run(self, tmp_path, capsys, monkeypatch):
+        out = _traced_cli_run(tmp_path, capsys, monkeypatch, max_events=1)
+        assert "trace written" in out
+        assert "events dropped" in out
 
-    def test_no_drops_stay_silent(self):
-        rec = Recorder()
-        rec.event("a")
-        metrics = RunMetrics.from_stats(_stats(), recorder=rec)
-        assert metrics.events_dropped == 0
-        assert "events_dropped" not in metrics.to_dict()
-        assert "dropped" not in metrics.summary()
+    def test_no_drops_stay_silent(self, tmp_path, capsys, monkeypatch):
+        out = _traced_cli_run(tmp_path, capsys, monkeypatch, max_events=500_000)
+        assert "trace written" in out
+        assert "dropped" not in out
 
 
 class TestSnapshotMerge:
@@ -363,7 +358,7 @@ class TestNullRecorderStaysInert:
         assert null.counters == {} and null.histograms == {} and null.events == []
         # class-level empty containers: no per-call (or per-instance) state
         assert null.counters is NullRecorder.counters
-        assert null.span("s") is NULL_RECORDER.span("s")
+        assert null.tree_span("s") is NULL_RECORDER.tree_span("s")
         assert null.snapshot(events_tail=5) == {
             "counters": {},
             "histograms": {},
