@@ -9,7 +9,8 @@ dense across the *whole* circuit, while the multirate WTM run lets the
 five quiet blocks stride, beating the best monolithic virtual-clock cost
 outright. On the deep ``rcblocks6`` chain the Gauss-Seidel coordinator
 also converges in fewer outer sweeps than the naive waveform-relaxation
-baseline (``repro.baselines.relaxation``) on the identical cut.
+baseline (``run_wtm``'s plain Gauss-Jacobi configuration) on the
+identical cut.
 
 Speed without agreement is a bug: the full table classifies every
 headline WTM config on the oracle tolerance ladder and requires the

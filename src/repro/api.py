@@ -47,8 +47,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.analysis.ac import ac_analysis as _ac_analysis
 from repro.analysis.dc import dc_sweep as _dc_sweep
 from repro.analysis.sweep import sweep as _sweep
@@ -57,7 +55,7 @@ from repro.engine.ensemble import run_ensemble_transient as _run_ensemble_transi
 from repro.engine.transient import run_transient as _run_transient
 from repro.errors import SimulationError
 from repro.partition.coordinator import run_wtm as _run_wtm
-from repro.jobs.spec import apply_params, jitterable_params
+from repro.jobs.spec import apply_params, jitter_draws, jitterable_params
 from repro.utils.options import SimOptions
 
 # Verification companions to simulate(): the differential oracle proving
@@ -357,9 +355,9 @@ class EnsembleRequest:
         """The per-variant parameter override dicts this request denotes.
 
         Explicit ``variants`` are returned as given (copied); a jitter
-        spec draws them with :func:`numpy.random.default_rng`'s seeded
-        lognormal over the circuit's sorted perturbable components,
-        mirroring ``monte_carlo``'s draw order bit for bit.
+        spec draws them over the circuit's perturbable components with
+        :func:`~repro.jobs.spec.jitter_draws`, the draw ``monte_carlo``
+        makes.
         """
         if self.variants is not None:
             return [dict(overrides) for overrides in self.variants]
@@ -369,15 +367,7 @@ class EnsembleRequest:
                 "circuit has no perturbable parameters to jitter; "
                 "pass explicit variants= instead"
             )
-        rng = np.random.default_rng(self.seed)
-        names = sorted(nominal)  # fixed draw order => seed-stable ensembles
-        out = []
-        for _ in range(self.ensemble):
-            factors = rng.lognormal(mean=0.0, sigma=self.jitter, size=len(names))
-            out.append(
-                {name: float(nominal[name] * f) for name, f in zip(names, factors)}
-            )
-        return out
+        return jitter_draws(nominal, self.ensemble, self.seed, self.jitter)
 
     # -- serialization -----------------------------------------------------------
 

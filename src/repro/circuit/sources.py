@@ -232,11 +232,12 @@ class Exp(SourceWaveform):
 class SampledWaveform(SourceWaveform):
     """Waveform defined by dense samples (linear interpolation, no corners).
 
-    Used by waveform relaxation to drive partition-boundary nodes with the
-    previous iterate's solution: unlike :class:`Pwl` it deliberately
-    reports **no breakpoints**, because its thousands of sample points are
-    smooth simulation output, not source corners the step controller must
-    land on.
+    Replays simulation output as a source: unlike :class:`Pwl` it
+    deliberately reports **no breakpoints**, because its thousands of
+    sample points are smooth simulation output, not source corners the
+    step controller must land on. The WTM coordinator's partition-boundary
+    sources subclass it (:class:`repro.partition.boundary.BoundarySource`)
+    and report only the sharp corners.
     """
 
     def __init__(self, times, values):

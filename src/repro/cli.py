@@ -1255,7 +1255,7 @@ def _print_tran(compiled, netlist, command: TranCommand, args) -> None:
     if args.heartbeat:
         print(f"* heartbeats written to {args.heartbeat}")
 
-    if args.metrics and wtm is None:
+    if args.metrics:
         print(result.stats.summary())
     if args.trace and recorder is not None:
         from repro.instrument import write_trace

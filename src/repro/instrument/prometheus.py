@@ -33,7 +33,7 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-logger = logging.getLogger("repro.instrument.metrics")
+logger = logging.getLogger(__name__)
 
 #: Metric-name prefix for everything the engine exports.
 NAMESPACE = "repro"

@@ -25,8 +25,6 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.circuit.components import Bjt, Capacitor, Diode, Inductor, Mosfet, Resistor
 from repro.engine.transient import TransientStats
 from repro.errors import SimulationError
@@ -34,7 +32,7 @@ from repro.instrument.events import CAMPAIGN_RUN
 from repro.instrument.recorder import resolve_recorder
 from repro.instrument.tracectx import current_trace
 from repro.jobs.scheduler import JobOutcome, JobScheduler
-from repro.jobs.spec import JobSpec, jitterable_params
+from repro.jobs.spec import JobSpec, jitter_draws, jitterable_params
 from repro.jobs.store import CampaignStore
 
 #: Component-class keys accepted in corner scale sets.
@@ -106,17 +104,11 @@ def monte_carlo(
         nominal = {name: nominal[name] for name in components}
     if not nominal:
         raise SimulationError("circuit has no perturbable parameters to jitter")
-    rng = np.random.default_rng(seed)
-    names = sorted(nominal)  # fixed draw order => seed-stable campaigns
     label = _base_label(base)
-    jobs = []
-    for i in range(n):
-        factors = rng.lognormal(mean=0.0, sigma=jitter, size=len(names))
-        params = dict(base.params)
-        params.update(
-            {name: float(nominal[name] * f) for name, f in zip(names, factors)}
-        )
-        jobs.append(base.derive(label=f"{label}/mc{i:03d}", params=params))
+    jobs = [
+        base.derive(label=f"{label}/mc{i:03d}", params={**base.params, **draw})
+        for i, draw in enumerate(jitter_draws(nominal, n, seed, jitter))
+    ]
     return Campaign(
         name=f"{label}-mc{n}",
         jobs=jobs,

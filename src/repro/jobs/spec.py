@@ -25,6 +25,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.circuit.circuit import Circuit
 from repro.circuit.components import (
     Bjt,
@@ -177,6 +179,26 @@ def jitterable_params(circuit: Circuit) -> dict[str, float]:
         if fieldname is not None:
             out[comp.name] = float(getattr(comp, fieldname))
     return out
+
+
+def jitter_draws(
+    nominal: dict[str, float], n: int, seed: int, jitter: float
+) -> list[dict[str, float]]:
+    """*n* seeded lognormal draws of the *nominal* values.
+
+    Each draw multiplies every value by an independent lognormal factor
+    with sigma=*jitter*; names are drawn in sorted order, so one seed
+    always yields the same draws whatever order *nominal* was built in.
+    """
+    rng = np.random.default_rng(seed)
+    names = sorted(nominal)
+    draws = []
+    for _ in range(n):
+        factors = rng.lognormal(mean=0.0, sigma=jitter, size=len(names))
+        draws.append(
+            {name: float(nominal[name] * f) for name, f in zip(names, factors)}
+        )
+    return draws
 
 
 def apply_params(circuit: Circuit, params: dict[str, float]) -> Circuit:

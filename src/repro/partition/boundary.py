@@ -13,10 +13,8 @@ consumer-side waveform).
 :class:`BoundaryWaveform` is the value object: immutable samples on a
 strictly increasing grid with linear interpolation between knots —
 exactly the interpolation the injected source applies, so what a
-partition samples is what its neighbour replays. Resampling onto a
-refinement of the grid and back is exact (piecewise-linear functions are
-closed under knot insertion), which is the round-trip property the
-hypothesis suite pins down.
+partition samples is what its neighbour replays (the replay property the
+hypothesis suite pins down).
 """
 
 from __future__ import annotations
@@ -52,27 +50,6 @@ class BoundaryWaveform:
     def at(self, t) -> np.ndarray:
         """Linear interpolation, clamped to the end samples."""
         return np.interp(t, self.times, self.values)
-
-    def resample(self, grid) -> "BoundaryWaveform":
-        """This waveform re-expressed on *grid* (linear interpolation)."""
-        grid = np.asarray(grid, dtype=float)
-        return BoundaryWaveform(times=grid, values=self.at(grid))
-
-    def shifted(self, t0: float) -> "BoundaryWaveform":
-        """Time origin moved to *t0* (windowed partition solves start at 0)."""
-        return BoundaryWaveform(times=self.times - t0, values=self.values)
-
-    def delta(self, other: "BoundaryWaveform") -> float:
-        """Max absolute sample difference against *other* (same grid)."""
-        if other.times.shape != self.times.shape or np.any(
-            other.times != self.times
-        ):
-            other = other.resample(self.times)
-        return float(np.abs(self.values - other.values).max())
-
-    def swing(self) -> float:
-        """Peak-to-peak sample range (residual normalisation)."""
-        return float(self.values.max() - self.values.min())
 
     def as_source(self) -> SampledWaveform:
         """The injectable source replaying this iterate (corner-aware)."""
@@ -114,9 +91,8 @@ class BoundarySource(SampledWaveform):
         return [float(t) for t in times[corners + 1] if 0.0 < t < tstop]
 
 
-#: Name prefix of the injected boundary voltage sources. Distinct from
-#: the relaxation baseline's ``VWR#`` so traces and subcircuit listings
-#: identify which subsystem built them.
+#: Name prefix of the injected boundary voltage sources, so traces and
+#: subcircuit listings show which sources the coordinator built.
 BOUNDARY_SOURCE_PREFIX = "VWTM#"
 
 

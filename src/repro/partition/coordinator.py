@@ -111,6 +111,26 @@ class WtmStats:
             serial_reference - self.dc_work_units
         ) if self.virtual_total > 0 else 0.0
 
+    def summary(self) -> str:
+        """Human-readable end-of-run report."""
+        # Every outer iteration solves every partition once.
+        partitions = (
+            self.partition_solves // self.outer_iterations
+            if self.outer_iterations
+            else 0
+        )
+        return "\n".join(
+            [
+                "wtm stats",
+                f"  partitions: {partitions}, {self.outer_iterations} outer "
+                f"iterations over {self.windows} window(s), "
+                f"{self.partition_solves} partition solves",
+                f"  work: virtual {self.virtual_total:.1f} wu vs serial "
+                f"{self.serial_total:.1f} wu (both incl. dcop "
+                f"{self.dc_work_units:.1f} wu)",
+            ]
+        )
+
 
 @dataclass
 class WtmResult:
@@ -325,8 +345,8 @@ def run_wtm(
     else:
         # Conservative default: cap the block solver's step at twice the
         # boundary sample spacing so even sub-corner-threshold features
-        # of a neighbour's iterate cannot be stepped over (same rule as
-        # the relaxation baseline, and what the oracle ladder validates).
+        # of a neighbour's iterate cannot be stepped over (the classic
+        # waveform-relaxation rule, and what the oracle ladder validates).
         block_options = base.replace(
             max_step=2.0 * tstop / (grid_points - 1),
             instrument=rec if rec.enabled else None,

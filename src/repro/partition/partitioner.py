@@ -353,10 +353,9 @@ def manifest_from_node_sets(
     """Build a manifest from an explicit node partition.
 
     Bypasses the weak-coupling heuristic — used by tests and by callers
-    holding a known-good decomposition (e.g. the one
-    :func:`repro.baselines.relaxation.partition_nodes` would produce, for
-    apples-to-apples baseline comparisons). The node sets must cover the
-    circuit's non-ground nodes exactly once.
+    holding a known-good decomposition, such as the hand-picked cuts the
+    waveform-relaxation baseline of Fig R4b runs on. The node sets must
+    cover the circuit's non-ground nodes exactly once.
     """
     order = [canonical_node(n) for n in circuit.nodes()]
     rank = {node: i for i, node in enumerate(order)}

@@ -1,6 +1,6 @@
-"""Baselines: waveform relaxation and the fine-grained Amdahl model."""
+"""Baselines: waveform relaxation (as a WTM configuration) and the
+fine-grained Amdahl model."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.finegrained import (
@@ -9,64 +9,52 @@ from repro.baselines.finegrained import (
     fine_grained_estimate,
     work_split,
 )
-from repro.baselines.relaxation import (
-    WaveformRelaxation,
-    connectivity_graph,
-    partition_nodes,
-)
 from repro.circuits.digital import inverter_chain, ring_oscillator
 from repro.circuits.interconnect import rc_ladder
 from repro.engine.transient import run_transient
 from repro.errors import SimulationError
 from repro.mna.compiler import compile_circuit
 from repro.mna.system import MnaSystem
-from repro.waveform.waveform import compare, worst_deviation
+from repro.partition import manifest_from_node_sets, partition_circuit, run_wtm
 
 
 class TestPartitioning:
-    def test_connectivity_graph_excludes_ground(self, rc_circuit):
-        graph = connectivity_graph(rc_circuit)
-        assert "0" not in graph.nodes
-        assert graph.has_edge("in", "out")
-
     def test_partition_covers_all_nodes(self):
         c = rc_ladder(sections=8)
-        parts = partition_nodes(c, 4)
-        covered = set().union(*parts)
-        assert covered == set(c.nodes())
-        assert len(parts) == 4
-
-    def test_partition_balanced_on_ladder(self):
-        c = rc_ladder(sections=10)
-        parts = partition_nodes(c, 2)
-        sizes = sorted(len(p) for p in parts)
-        assert sizes[0] >= 4  # 11 nodes split roughly evenly
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(SimulationError):
-            partition_nodes(rc_ladder(4), 3)
+        manifest = partition_circuit(c, 4)
+        covered = [n for part in manifest.partitions for n in part.nodes]
+        assert sorted(covered) == sorted(c.nodes())
+        assert len(manifest) == 4
 
 
 class TestWaveformRelaxation:
+    """WR is run_wtm's degenerate configuration: Gauss-Jacobi sweeps on a
+    fixed cut with sequential block solves (relative tolerances: the
+    inverters swing 3 V)."""
+
+    @staticmethod
+    def relax(circuit, tstop, node_sets, **kwargs):
+        return run_wtm(
+            circuit, tstop,
+            manifest=manifest_from_node_sets(circuit, node_sets),
+            mode="jacobi", strict=False, **kwargs,
+        )
+
     def test_unidirectional_chain_converges(self):
         circuit = inverter_chain(stages=4, period=10e-9)
-        wr = WaveformRelaxation(
-            circuit,
-            tstop=12e-9,
-            partition=[{"vdd", "n0", "n1", "n2"}, {"n3", "n4"}],
+        result = self.relax(
+            circuit, 12e-9, [{"vdd", "n0", "n1", "n2"}, {"n3", "n4"}],
+            max_outer=12, wtm_tol=5e-2 / 3.0,
         )
-        result = wr.run(max_sweeps=12, wr_vtol=5e-2)
         assert result.converged
-        assert result.sweeps <= 8
+        assert result.outer_iterations <= 8
 
     def test_chain_result_close_to_direct(self):
         circuit = inverter_chain(stages=4, period=10e-9)
-        wr = WaveformRelaxation(
-            circuit,
-            tstop=12e-9,
-            partition=[{"vdd", "n0", "n1", "n2"}, {"n3", "n4"}],
+        result = self.relax(
+            circuit, 12e-9, [{"vdd", "n0", "n1", "n2"}, {"n3", "n4"}],
+            max_outer=12, wtm_tol=5e-2 / 3.0,
         )
-        result = wr.run(max_sweeps=12, wr_vtol=5e-2)
         direct = run_transient(circuit, 12e-9)
         # WR timing error accumulates through the chain; assert levels and
         # edge count rather than pointwise agreement.
@@ -79,45 +67,36 @@ class TestWaveformRelaxation:
         """The abstract's contrast: relaxation jeopardises convergence on
         tightly coupled circuits; WavePipe (direct method) does not."""
         circuit = ring_oscillator(stages=5)
-        wr = WaveformRelaxation(circuit, tstop=10e-9, blocks=2)
-        result = wr.run(max_sweeps=8, wr_vtol=1e-2)
+        result = self.relax(
+            circuit, 10e-9, [{"n0", "n1", "n2"}, {"n3", "n4", "vdd"}],
+            max_outer=8, wtm_tol=1e-2 / 3.0,
+        )
         assert not result.converged
-        # deltas do not contract (oscillator phase never locks)
-        assert result.sweep_deltas[-1] > 0.5
+        # residuals do not contract (oscillator phase never locks)
+        assert result.residuals[-1] > 0.5
 
     def test_parallel_work_less_than_serial(self):
         circuit = rc_ladder(sections=6)
-        wr = WaveformRelaxation(circuit, tstop=2e-9, blocks=2)
-        result = wr.run(max_sweeps=3, wr_vtol=1e-9)
-        assert result.parallel_work < result.serial_work
-        assert result.parallel_work > 0
+        result = run_wtm(
+            circuit, 2e-9, 2, mode="jacobi",
+            max_outer=3, wtm_tol=1e-9, strict=False,
+        )
+        assert result.stats.virtual_total < result.stats.serial_total
+        assert result.stats.virtual_total > 0
 
     def test_bad_mode_rejected(self):
         with pytest.raises(SimulationError):
-            WaveformRelaxation(rc_ladder(4), 1e-9, mode="chaotic")
+            run_wtm(rc_ladder(4), 1e-9, 2, mode="chaotic")
 
     def test_partition_must_cover_nodes(self):
         c = rc_ladder(sections=4)
         with pytest.raises(SimulationError, match="misses"):
-            WaveformRelaxation(c, 1e-9, partition=[{"n1", "n2"}])
+            self.relax(c, 1e-9, [{"n1", "n2"}])
 
     def test_node_in_two_blocks_rejected(self):
         c = rc_ladder(sections=2)
-        with pytest.raises(SimulationError, match="two blocks"):
-            WaveformRelaxation(
-                c, 1e-9, partition=[{"n0", "n1", "n2"}, {"n2"}]
-            )
-
-    def test_seidel_mode_converges_no_slower(self):
-        circuit = inverter_chain(stages=2, period=10e-9)
-        partition = [{"vdd", "n0", "n1"}, {"n2"}]
-        jacobi = WaveformRelaxation(
-            circuit, 12e-9, partition=partition, mode="jacobi"
-        ).run(max_sweeps=10, wr_vtol=5e-2)
-        seidel = WaveformRelaxation(
-            circuit, 12e-9, partition=partition, mode="seidel"
-        ).run(max_sweeps=10, wr_vtol=5e-2)
-        assert seidel.sweeps <= jacobi.sweeps
+        with pytest.raises(SimulationError, match="two partitions"):
+            self.relax(c, 1e-9, [{"n0", "n1", "n2"}, {"n2"}])
 
 
 class TestFineGrained:

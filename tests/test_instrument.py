@@ -379,6 +379,30 @@ class TestCli:
         out = self.run_cli(tmp_path, capsys, ["--metrics"])
         assert "run stats" in out
 
+    def test_metrics_flag_reports_wtm_run(self, tmp_path, capsys):
+        deck = tmp_path / "blocks.cir"
+        deck.write_text(
+            "two rc blocks on a weak bridge\n"
+            "V1 a0 0 PULSE(0 1 1n 1n 1n 8n 20n)\n"
+            "R1 a0 a1 1k\n"
+            "C1 a1 0 1p\n"
+            "RBR a1 b0 200k\n"
+            "R2 b0 b1 1k\n"
+            "C2 b1 0 1p\n"
+            "V2 b2 0 PULSE(0 1 11n 1n 1n 8n 20n)\n"
+            "R3 b2 b1 1k\n"
+            ".tran 0.1n 40n\n"
+            ".end\n"
+        )
+        from repro.cli import main
+
+        assert main([str(deck), "--samples", "3", "--partitions", "2",
+                     "--metrics"]) == 0
+        out = capsys.readouterr().out
+        assert "wtm stats" in out
+        assert "  partitions: 2, " in out
+        assert "  work: virtual " in out
+
     def test_metrics_alone_builds_no_recorder(self, tmp_path, capsys, monkeypatch):
         import repro.instrument
 

@@ -330,7 +330,7 @@ class TestPrometheus:
 
     def test_start_logs_the_bound_address(self, caplog):
         rec = Recorder(capture_events=False)
-        with caplog.at_level("INFO", logger="repro.instrument.metrics"):
+        with caplog.at_level("INFO", logger="repro.instrument.prometheus"):
             with serve_metrics(rec, port=0) as server:
                 port = server.port
         assert any(f":{port}/metrics" in message for message in caplog.messages)

@@ -1,18 +1,14 @@
 """WTM coordinator: outer iterations, cost accounting, failure modes.
 
-The reference implementation to beat — and to agree with — is the naive
-:class:`repro.baselines.relaxation.WaveformRelaxation`: on the same cut
-and the same exchange grid, both methods iterate to the same boundary
-fixed point, so their converged waveforms must match to well below the
-oracle's loose rung. The coordinator's additions (virtual-clock costing,
-per-partition WavePipe pipelining, windowing, under-relaxation, chaos
-compatibility) must not move the answer.
+Agreement with the monolithic reference lives in
+``tests/test_wtm_oracle.py``; here the coordinator's additions
+(virtual-clock costing, per-partition WavePipe pipelining, windowing,
+under-relaxation, chaos compatibility) must not move the answer.
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines.relaxation import WaveformRelaxation
 from repro.circuit.circuit import Circuit
 from repro.circuit.sources import Pulse
 from repro.circuits.multiblock import bridged_rc_blocks, mixed_rate_blocks
@@ -40,53 +36,6 @@ def rc_bridge() -> Circuit:
     c.add_resistor("R3", "b2", "b1", 1e3)
     return c
 
-
-NODE_SETS = [{"a0", "a1"}, {"b0", "b1", "b2"}]
-
-
-class TestBaselineEquivalence:
-    """WTM and the naive relaxation baseline share a fixed point."""
-
-    def test_seidel_matches_relaxation_at_tight_tolerance(self):
-        circuit = rc_bridge()
-        grid_points = 400
-        # Verification-grade block tolerances: at the default reltol the
-        # two methods' step controllers place accepted points differently
-        # around the pulse edges, and that legal LTE-scale divergence
-        # (~1e-3) would swamp the fixed-point agreement under test.
-        options = SimOptions(reltol=1e-5)
-        manifest = manifest_from_node_sets(circuit, NODE_SETS)
-        # wtm_tol one decade below the default: the residual floor set
-        # by step-placement jitter sits just under 1e-4 at this reltol.
-        wtm = run_wtm(
-            circuit, TSTOP, manifest=manifest, mode="seidel",
-            grid_points=grid_points, wtm_tol=1e-4, options=options,
-        )
-        wr = WaveformRelaxation(
-            circuit, TSTOP, partition=NODE_SETS, mode="seidel",
-            grid_points=grid_points, options=options,
-        ).run(wr_vtol=1e-4)
-        assert wtm.converged and wr.converged
-        # Compare solved values at the baseline's own sample times (a
-        # subset of the WTM grid, which additionally splices in Pulse
-        # corners): evaluating anywhere else measures each grid's
-        # piecewise-linear chord at the corners, not the solvers.
-        times = wr.waveforms.times
-        for node in ("a1", "b0", "b1"):
-            a = wr.waveforms.voltage(node).values
-            b = wtm.waveforms.voltage(node).at(times)
-            scale = max(float(np.abs(a).max()), 1e-9)
-            # Same engine, same cut, same fixed point: the gap sits
-            # well below the loose classification rung.
-            assert float(np.abs(a - b).max()) / scale < 5e-4, node
-
-    def test_wtm_needs_no_more_sweeps_than_baseline(self):
-        circuit = rc_bridge()
-        manifest = manifest_from_node_sets(circuit, NODE_SETS)
-        wtm = run_wtm(circuit, TSTOP, manifest=manifest, mode="seidel")
-        wr = WaveformRelaxation(circuit, TSTOP, partition=NODE_SETS).run()
-        assert wtm.converged and wr.converged
-        assert wtm.outer_iterations <= wr.sweeps
 
 
 class TestCostAccounting:

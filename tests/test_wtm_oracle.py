@@ -3,7 +3,8 @@
 :func:`repro.partition.checks.wtm_vs_monolithic` applies the oracle's
 tolerance ladder to a genuinely different numerical method, so the
 acceptance bar is explicit: every *converged* WTM run on the seeded
-multi-block families must classify at ``loose`` (1e-3) or tighter
+multi-block families (and on one hand-cut bridge, the explicit-manifest
+path) must classify at ``loose`` (1e-3) or tighter
 against the verification-grade sequential reference, and non-converged
 runs must be reported as such — never silently classified.
 
@@ -21,6 +22,7 @@ from repro.partition import manifest_from_node_sets, run_wtm, wtm_vs_monolithic
 from repro.utils.options import SimOptions
 from repro.verify.generators import draw_circuit
 from repro.verify.oracle import TOLERANCE_LADDER
+from tests.test_wtm import TSTOP, rc_bridge
 
 #: Ladder rungs an agreeing WTM run may land on (loose or tighter).
 AGREEING_TIERS = {name for name, level in TOLERANCE_LADDER if level <= 1e-3}
@@ -32,11 +34,32 @@ def draw_family(family: str, seed: int):
     return gen
 
 
+def seeded_mesh(seed: int):
+    gen = draw_family("bridged-rc-mesh", seed)
+    return gen.circuit, gen.tstop, {"partitions": 2}
+
+
+def hand_cut_bridge():
+    """An explicit node-set cut (not the partitioner's), Gauss-Seidel."""
+    circuit = rc_bridge()
+    manifest = manifest_from_node_sets(
+        circuit, [{"a0", "a1"}, {"b0", "b1", "b2"}]
+    )
+    return circuit, TSTOP, {"manifest": manifest, "mode": "seidel"}
+
+
 class TestSeededFamilies:
-    @pytest.mark.parametrize("seed", [11, 14])
-    def test_bridged_rc_mesh_agrees(self, seed):
-        gen = draw_family("bridged-rc-mesh", seed)
-        agreement = wtm_vs_monolithic(gen.circuit, gen.tstop, 2)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: seeded_mesh(11), id="11"),
+            pytest.param(lambda: seeded_mesh(14), id="14"),
+            pytest.param(hand_cut_bridge, id="rc_bridge"),
+        ],
+    )
+    def test_bridged_rc_mesh_agrees(self, build):
+        circuit, tstop, wtm_kwargs = build()
+        agreement = wtm_vs_monolithic(circuit, tstop, **wtm_kwargs)
         assert agreement.converged
         assert agreement.tier in AGREEING_TIERS, agreement.worst
         assert agreement.ok
