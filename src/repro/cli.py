@@ -681,14 +681,19 @@ def build_node_parser() -> argparse.ArgumentParser:
         prog="repro node",
         description="Run one farm node: claim jobs from a queue directory by "
         "content hash under a lease, execute them, publish to the shared "
-        "result cache",
+        "result cache; one claim loop per usable CPU by default",
     )
     parser.add_argument("--root", required=True, metavar="DIR")
     parser.add_argument("--id", dest="node_id", help="node identity in leases")
     parser.add_argument(
         "--backend", choices=["serial", "process", "ensemble"], default="serial"
     )
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="concurrent claim loops, each a forked process running one job "
+        "at a time on --backend (default: the CPUs this process may use; "
+        "1 runs the loop in the node process)",
+    )
     parser.add_argument(
         "--batch", type=int, default=1, help="jobs claimed per transaction"
     )
@@ -708,7 +713,8 @@ def build_node_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--metrics", action="store_true",
-        help="print the node's service.node.* / jobs.* counters on exit",
+        help="print the node's service.node.* / jobs.* counters on exit, "
+        "summed over its claim loops",
     )
     return parser
 

@@ -58,7 +58,7 @@ class ResultCache:
     def put(self, result: JobResult) -> Path:
         """Store *result* under its spec hash (atomic, deterministic bytes)."""
         path = self.path(result.spec_hash)
-        payload = json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
+        payload = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(payload, encoding="utf-8")
         os.replace(tmp, path)

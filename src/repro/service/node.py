@@ -8,6 +8,10 @@ shared :class:`~repro.jobs.cache.ResultCache` under ``<root>/results``
 dedups the physics — a node claiming a spec another tenant already paid
 for serves the cached bytes without touching the engine.
 
+``repro node`` (:func:`run_node`) keeps every core busy: it runs one
+claim loop per usable CPU, each an ordinary :class:`FarmNode` in its own
+forked process, and sums their claims and counters when they exit.
+
 Crash safety is entirely lease-based: a node never marks anything on the
 queue before it finishes. SIGKILL a node mid-job and the only trace is a
 lease that stops being renewed; the next claimant's transaction reaps it
@@ -17,12 +21,17 @@ deterministic and results content-addressed).
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
+from multiprocessing import connection as mp_connection
 from pathlib import Path
 
+from repro.errors import ReproError, SimulationError
 from repro.instrument.recorder import resolve_recorder
 from repro.instrument.telemetry import tenant_counter
 from repro.jobs.cache import ResultCache
@@ -231,11 +240,176 @@ class FarmNode:
         self.close()
 
 
+def usable_cpus() -> int:
+    """Claim loops a node runs by default: one per CPU it may run on.
+
+    The affinity mask, not the machine's core count, so a node started
+    under ``taskset`` or a cgroup cpuset runs as many loops as it has
+    cores. Without ``fork`` a node cannot fan out, so the answer is 1.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+#: ``prctl`` option: the signal the kernel sends when the parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _on_stop_signals(action) -> None:
+    """Run *action* on SIGTERM/SIGINT (a no-op off the main thread)."""
+
+    def handler(signum, frame):
+        action()
+
+    for signum in _STOP_SIGNALS:
+        try:
+            signal.signal(signum, handler)
+        except (ValueError, OSError):  # non-main thread
+            break
+
+
+def _die_with_parent() -> None:
+    """Have Linux SIGKILL this process when the node process dies.
+
+    Elsewhere the per-iteration ``getppid`` check of :class:`_LoopStop`
+    is the only guard, and it waits for the in-flight job.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+    libc.prctl.restype = ctypes.c_int
+    if libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) != 0:
+        errno = ctypes.get_errno()
+        raise OSError(errno, os.strerror(errno))
+
+
+class _LoopStop(threading.Event):
+    """A claim loop's stop flag; also reads set once the node is gone.
+
+    The loop tests it once per claim, so a loop orphaned before
+    ``PR_SET_PDEATHSIG`` took hold (or where it does not exist) stops
+    after its in-flight job instead of claiming forever.
+    """
+
+    def __init__(self, parent: int):
+        super().__init__()
+        self.parent = parent
+
+    def is_set(self) -> bool:
+        return super().is_set() or os.getppid() != self.parent
+
+
+def _run_loop(root, node_id, options: dict, stop, drain: bool, instrument) -> int:
+    with FarmNode(root, node_id=node_id, instrument=instrument, **options) as node:
+        return node.run(stop=stop, drain=drain)
+
+
+def _loop_main(conn, parent: int, root, node_id, options, drain, instrument) -> None:
+    """Body of one forked claim loop: run, then report to the node process.
+
+    Sends ``(claimed, recorder snapshot, error message or None)``.
+    """
+    _die_with_parent()
+    stop = _LoopStop(parent)
+    _on_stop_signals(stop.set)
+    # the node process blocked these across the fork; from here on they
+    # reach this loop's own handler
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+    claimed, error = 0, None
+    try:
+        claimed = _run_loop(root, node_id, options, stop, drain, instrument)
+    except ReproError as exc:
+        error = str(exc)
+    conn.send((claimed, instrument.snapshot(), error))
+    conn.close()
+
+
+def _run_loops(
+    loops: int, root, node_id, options: dict, drain: bool, rec, install_signals: bool
+) -> int:
+    """Fork *loops* claim loops, wait for every one, sum their claims.
+
+    Forked from the node process before anything opens the queue store,
+    so no sqlite connection crosses a fork. Fork, not spawn: the node has
+    started no thread of its own yet, and a forked loop skips the ~1 s
+    re-import and keeps the node's command line, so ``pgrep -f`` finds a
+    node's loops with it. SIGTERM/SIGINT are blocked until each loop has
+    its own handler, and then forwarded to every loop: each stops after
+    its in-flight job. A loop that fails stops the others, and the node
+    raises its error once all are reaped.
+    """
+    ctx = multiprocessing.get_context("fork")
+    parent = os.getpid()
+    procs: dict = {}  # reader conn -> Process
+    failure = None
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+    try:
+        try:
+            for index in range(loops):
+                reader, writer = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_loop_main,
+                    name=f"claim-loop-{index}",
+                    args=(
+                        writer,
+                        parent,
+                        root,
+                        None if node_id is None else f"{node_id}.{index}",
+                        options,
+                        drain,
+                        rec,
+                    ),
+                )
+                proc.start()
+                writer.close()  # a loop's EOF must reach the node
+                procs[reader] = proc
+            if install_signals:
+                _on_stop_signals(
+                    lambda: [proc.terminate() for proc in procs.values()]
+                )
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        total = 0
+        pending = dict(procs)
+        while pending:
+            for reader in mp_connection.wait(list(pending)):
+                proc = pending.pop(reader)
+                try:
+                    claimed, snapshot, error = reader.recv()
+                except EOFError:  # died before reporting
+                    claimed, snapshot, error = 0, None, None
+                reader.close()
+                proc.join()
+                if error is None and proc.exitcode != 0:
+                    error = f"{proc.name} exited with code {proc.exitcode}"
+                total += claimed
+                if snapshot is not None:
+                    rec.merge(snapshot)
+                if error is not None and failure is None:
+                    failure = error
+                    for other in pending.values():
+                        other.terminate()
+    finally:
+        for proc in procs.values():
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+    if failure is not None:
+        raise SimulationError(failure)
+    return total
+
+
 def run_node(
     root,
     node_id: str | None = None,
     backend="serial",
-    workers: int = 1,
+    workers: int | None = None,
     batch: int = 1,
     lease_seconds: float = DEFAULT_LEASE,
     poll_interval: float = DEFAULT_POLL,
@@ -244,34 +418,39 @@ def run_node(
     instrument=None,
     install_signals: bool = True,
 ) -> int:
-    """Process entry point for ``repro node``: run one farm node loop.
+    """Process entry point for ``repro node``: run *workers* claim loops.
 
-    SIGTERM/SIGINT request a graceful stop (finish the in-flight batch,
-    settle it, exit); SIGKILL is the fault-injection path — the lease
-    reaper cleans up after it. Returns total jobs claimed.
+    Each loop is an ordinary :class:`FarmNode` running one job at a time
+    on *backend*. ``workers`` defaults to :func:`usable_cpus`; above 1
+    each loop is a forked process (lease id ``<node_id>.<i>``, or
+    ``node-<pid>`` without a *node_id*) whose counters are merged into
+    *instrument* when it exits, and a SIGKILLed node takes its loops
+    with it. ``workers=1`` runs the one loop in this process.
+
+    SIGTERM/SIGINT request a graceful stop (every loop finishes its
+    in-flight job, settles it, exits); SIGKILL is the fault-injection
+    path — the lease reaper cleans up after it. Returns the total jobs
+    claimed over all loops.
     """
-    stop = threading.Event()
-    if install_signals:
-        def _request_stop(signum, frame):
-            stop.set()
-
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                signal.signal(signum, _request_stop)
-            except (ValueError, OSError):  # non-main thread
-                break
-    with FarmNode(
-        root,
-        node_id=node_id,
+    loops = usable_cpus() if workers is None else workers
+    if loops < 1:
+        raise SimulationError(f"a node needs workers >= 1, got {loops}")
+    options = dict(
         backend=backend,
-        workers=workers,
         batch=batch,
         lease_seconds=lease_seconds,
         poll_interval=poll_interval,
         timeout=timeout,
-        instrument=instrument,
-    ) as node:
-        return node.run(stop=stop, drain=drain)
+    )
+    if loops > 1:
+        return _run_loops(
+            loops, root, node_id, options, drain,
+            resolve_recorder(instrument), install_signals,
+        )
+    stop = threading.Event()
+    if install_signals:
+        _on_stop_signals(stop.set)
+    return _run_loop(root, node_id, options, stop, drain, instrument)
 
 
 __all__ = ["FarmNode", "run_node", "ClaimedJob", "RESULTS_DIR"]

@@ -178,6 +178,26 @@ class ClaimedJob:
     queue_age: float = 0.0
 
 
+def _use_wal(conn: sqlite3.Connection) -> None:
+    """Switch *conn*'s store to WAL, waiting out a concurrent first open.
+
+    The switch needs the store's exclusive lock, and sqlite answers a
+    conflict there with "database is locked" at once instead of through
+    the busy timeout; so retry until :data:`BUSY_TIMEOUT`, as any write
+    would wait. Once one opener has switched, the others' switch is a
+    no-op.
+    """
+    deadline = time.monotonic() + BUSY_TIMEOUT
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.001)
+
+
 def campaign_id(name: str, job_hashes: list[str]) -> str:
     """Deterministic campaign id: digest of the name + member hashes."""
     payload = _dumps({"name": name, "jobs": list(job_hashes)})
@@ -247,7 +267,7 @@ class JobQueue:
                 check_same_thread=False,  # self._lock serialises the threads
             )
             try:
-                conn.execute("PRAGMA journal_mode=WAL")
+                _use_wal(conn)
                 conn.execute("PRAGMA synchronous=NORMAL")
                 if conn.execute(
                     "SELECT 1 FROM sqlite_master WHERE name = 'meta'"

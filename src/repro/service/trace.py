@@ -80,7 +80,7 @@ class TraceStore:
 
     def put(self, spec_hash: str, record: dict) -> None:
         """Write one record atomically (temp file + ``os.replace``)."""
-        payload = json.dumps(record, sort_keys=True, indent=2) + "\n"
+        payload = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         tmp = self.path(spec_hash).with_suffix(
             f".tmp.{os.getpid()}.{threading.get_ident()}"
         )

@@ -6,6 +6,7 @@ method a monkeypatched hook propagates into the children automatically.
 The whole-process tests are skipped when fork is unavailable.
 """
 
+import json
 import multiprocessing
 import os
 import pickle
@@ -106,6 +107,18 @@ class TestResultCache:
         cache.path(spec.content_hash()).write_text("{not json", encoding="utf-8")
         assert cache.get(spec.content_hash()) is None
         assert not cache.path(spec.content_hash()).exists()
+
+    def test_entries_are_compact_and_indented_ones_still_load(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = rc_spec()
+        result = self.result(spec)
+        path = cache.put(result)
+        assert path.read_text().count("\n") == 1  # one line, no indent
+        path.write_text(
+            json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n",
+            encoding="utf-8",
+        )
+        assert cache.get(spec.content_hash()).to_dict() == result.to_dict()
 
     def test_stored_bytes_are_stable(self, tmp_path):
         cache = ResultCache(tmp_path)

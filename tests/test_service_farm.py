@@ -8,6 +8,7 @@ reconcile to 100% of submitted jobs.
 """
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -257,3 +258,154 @@ class TestFaultInjection:
         # and the crash never leaked into the physics: artifacts match
         # the uninterrupted run byte for byte
         assert result_bytes(root) == expected
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="reads /proc; loops die with the node through PR_SET_PDEATHSIG",
+)
+
+#: A two-loop node whose every job sleeps 0.5 s after dropping a marker
+#: file named after its spec hash, so a test can signal it mid-job.
+SLOW_NODE_SCRIPT = textwrap.dedent(
+    """
+    import sys, time
+    import repro.jobs.workers as workers
+    from repro.service.node import run_node
+
+    root, marker = sys.argv[1], sys.argv[2]
+
+    def slow(spec):
+        open(marker + spec.content_hash(), "w").close()
+        time.sleep(0.5)
+
+    workers.FAULT_HOOK = slow
+    print(run_node(root, node_id="fan", workers=2, poll_interval=0.05))
+    """
+)
+
+
+def repro_node(root, *argv, prefix=()) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [*prefix, sys.executable, "-m", "repro", "node", "--root", str(root), *argv],
+        env={**os.environ, "PYTHONPATH": "src"},
+        cwd=REPO, capture_output=True, text=True, timeout=120,
+    )
+
+
+def processes_naming(token: str) -> list[int]:
+    """Live processes whose command line contains *token* (zombies have none)."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            if token.encode() in (entry / "cmdline").read_bytes():
+                pids.append(int(entry.name))
+        except OSError:  # exited while we looked
+            continue
+    return pids
+
+
+def jobs_per_node(root) -> dict[str, int]:
+    """Settled jobs by lease identity; every job done on its first claim."""
+    entries = JobQueue(root).entries()
+    assert {e["status"] for e in entries.values()} == {"done"}
+    assert {e["attempts"] for e in entries.values()} == {1}
+    per_node: dict[str, int] = {}
+    for entry in entries.values():
+        per_node[entry["node"]] = per_node.get(entry["node"], 0) + 1
+    return per_node
+
+
+def start_slow_node(tmp_path):
+    root = tmp_path / "farm"
+    submit_campaign(root, n=8)
+    marker = f"{tmp_path}/started-"
+    node = subprocess.Popen(
+        [sys.executable, "-c", SLOW_NODE_SCRIPT, str(root), marker],
+        env={**os.environ, "PYTHONPATH": "src"},
+        cwd=REPO, stdout=subprocess.PIPE, text=True,
+    )
+    deadline = time.monotonic() + 30
+    while len(list(tmp_path.glob("started-*"))) < 2:  # both loops mid-job
+        assert time.monotonic() < deadline, "the loops never claimed"
+        assert node.poll() is None, "node exited prematurely"
+        time.sleep(0.02)
+    assert len(processes_naming(str(root))) == 3  # the node and its loops
+    return root, node
+
+
+@posix_only
+@linux_only
+class TestFanOutNode:
+    def test_drain_settles_every_job_once_and_sums_the_loops(self, tmp_path):
+        root = tmp_path / "farm"
+        _, hashes = submit_campaign(root, n=12)
+        unique = len(set(hashes))
+        # more loops than this machine may have cores
+        run = repro_node(root, "--id", "fan", "--workers", "3", "--drain", "--metrics")
+        assert run.returncode == 0, run.stderr
+        assert f"claiming {unique} job(s)" in run.stdout
+        per_node = jobs_per_node(root)
+        assert set(per_node) <= {"fan.0", "fan.1", "fan.2"}
+        counters = dict(
+            line.strip().split(" = ")
+            for line in run.stdout.splitlines() if " = " in line
+        )
+        # the printed counters are the loops' merged recorders
+        assert float(counters["service.node.claims"]) == sum(per_node.values())
+        assert float(counters["service.node.completed"]) == unique
+        assert float(counters["jobs.completed"]) == unique
+        assert processes_naming(str(root)) == []
+
+    def test_one_worker_is_the_single_in_process_loop(self, tmp_path):
+        root = tmp_path / "farm"
+        _, hashes = submit_campaign(root, n=4)
+        run = repro_node(root, "--id", "solo", "--workers", "1", "--drain")
+        assert run.returncode == 0, run.stderr
+        assert jobs_per_node(root) == {"solo": len(set(hashes))}
+
+    @pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
+    def test_default_is_one_loop_per_usable_cpu(self, tmp_path):
+        root = tmp_path / "farm"
+        _, hashes = submit_campaign(root, n=4)
+        run = repro_node(root, "--id", "pinned", "--drain", prefix=("taskset", "-c", "0"))
+        assert run.returncode == 0, run.stderr
+        # one usable CPU: one loop, under the node's own id
+        assert jobs_per_node(root) == {"pinned": len(set(hashes))}
+
+    def test_a_failing_loop_fails_the_node(self, tmp_path):
+        root = tmp_path / "farm"
+        root.mkdir()
+        (root / "queue.json").write_text('{"version": 1, "jobs": {}}')
+        # not --drain: only the loops' failure can end this node
+        run = repro_node(root, "--workers", "2")
+        assert run.returncode == 2
+        assert "queue.json" in run.stderr
+        assert processes_naming(str(root)) == []
+
+    def test_sigterm_settles_in_flight_jobs_and_leaves_no_process(self, tmp_path):
+        root, node = start_slow_node(tmp_path)
+        node.send_signal(signal.SIGTERM)
+        out, _ = node.communicate(timeout=30)
+        assert node.returncode == 0
+        started = {p.name[len("started-"):] for p in tmp_path.glob("started-*")}
+        queue = JobQueue(root)
+        # every job a loop had started settled; nothing is left leased
+        assert {queue.status(h)["status"] for h in started} == {"done"}
+        assert queue.counts().get("leased", 0) == 0
+        assert int(out) == len(started)
+        assert processes_naming(str(root)) == []
+
+    def test_sigkill_of_the_node_takes_its_loops_down(self, tmp_path):
+        root, node = start_slow_node(tmp_path)
+        node.kill()
+        node.wait(timeout=10)
+        node.stdout.close()
+        deadline = time.monotonic() + 2.0
+        while processes_naming(str(root)):
+            assert time.monotonic() < deadline, "a claim loop outlived its node"
+            time.sleep(0.02)

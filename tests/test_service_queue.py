@@ -8,6 +8,8 @@ has no hidden in-memory state a node restart would lose.
 
 import contextlib
 import json
+import multiprocessing
+import random
 import sqlite3
 import statistics
 import sys
@@ -47,6 +49,24 @@ class FakeClock:
 
     def advance(self, dt: float) -> None:
         self.now += dt
+
+
+def open_fresh_roots(base, barrier, rounds, results) -> None:
+    """Open one never-used queue root per round, released by *barrier*.
+
+    Each opener waits a random 0-2 ms after the release so that, over the
+    rounds, arrivals sweep the few hundred microseconds in which a first
+    open switches the fresh store to WAL.
+    """
+    errors = []
+    for i in range(rounds):
+        barrier.wait(timeout=60)
+        time.sleep(random.random() * 0.002)
+        try:
+            JobQueue(base / f"root{i}").counts()
+        except SimulationError as exc:
+            errors.append(str(exc))
+    results.put(errors)
 
 
 @pytest.fixture
@@ -411,6 +431,27 @@ class TestStore:
         # no job was handed out twice
         assert len(claimed) == len(set(claimed)) == threads * rounds
         assert queue.counts() == {"done": threads * rounds}
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_concurrent_first_opens_of_a_fresh_root_all_succeed(self, tmp_path):
+        # N farm-node loops open one fresh store at the same instant; the
+        # switch to WAL must wait its turn like every other write does
+        ctx = multiprocessing.get_context("fork")
+        rounds, openers = 200, 8
+        barrier, results = ctx.Barrier(openers), ctx.Queue()
+        procs = [
+            ctx.Process(target=open_fresh_roots, args=(tmp_path, barrier, rounds, results))
+            for _ in range(openers)
+        ]
+        for proc in procs:
+            proc.start()
+        errors = [error for _ in procs for error in results.get(timeout=120)]
+        for proc in procs:
+            proc.join(timeout=30)
+        assert not any(proc.is_alive() for proc in procs)
+        assert errors == []
 
     def test_v1_manifest_is_refused_by_name(self, tmp_path):
         (tmp_path / "queue.json").write_text('{"version": 1, "jobs": {}}')

@@ -10,6 +10,7 @@ JSONL.
 """
 
 import io
+import json
 
 import pytest
 
@@ -56,6 +57,12 @@ class TestTraceStore:
         store = TraceStore(tmp_path)
         record = {"hash": "abc", "node": "alpha", "elapsed": 0.25}
         store.put("abc", record)
+        assert store.get("abc") == record
+        # compact on disk; a record an earlier release indented still loads
+        assert store.path("abc").read_text() == json.dumps(
+            record, sort_keys=True, separators=(",", ":")
+        ) + "\n"
+        store.path("abc").write_text(json.dumps(record, indent=2), encoding="utf-8")
         assert store.get("abc") == record
 
     def test_missing_and_torn_records_give_none(self, tmp_path):
